@@ -1,25 +1,61 @@
 """On-disk quadrature cache plus a small index of achieved build sizes.
 
 Cache keys bucket the tolerance by its decimal exponent, so re-runs at the
-same tolerance magnitude reuse solves.  Writes are atomic
-(write-temp-then-rename) and idempotent: storing the same key twice leaves
-one file.  Corrupt entries are ignored with a warning and rebuilt.
+same tolerance magnitude reuse solves.  A bucket can hold a rule certified
+at a looser tolerance than the one asked for, so every hit is re-certified
+at the requested tolerance and served only if it passes.  Writes are atomic
+(write a unique temp file, then rename) and idempotent: storing the same key
+twice leaves one file.  Corrupt entries are ignored with a warning and
+rebuilt.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
-from .quadrature import Quadrature
+from .quadrature import Quadrature, certify
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates files 0600; give written files the mode open() would have
+_FILE_MODE = 0o666 & ~_umask()
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write via a temp file unique to this writer, so concurrent writers never share one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def recertified(q: Quadrature | None, tol: float) -> Quadrature | None:
+    """A fresh copy of a cached rule certified at `tol`, or None if it misses tol.
+
+    The stored `certified` flag and residual are not trusted: they may come
+    from a looser tolerance in the same key bucket, or from an edited file.
+    """
+    if q is None:
+        return None
+    fresh = Quadrature(weight=q.weight, degree=q.degree, nodes=q.nodes)
+    certify(fresh, tol)
+    return fresh if fresh.certified else None
 
 
 def dump_json(obj) -> str:
@@ -49,10 +85,9 @@ class QuadratureCache:
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"ignoring corrupt cache entry {path}: {exc}")
             return None
-        if not q.certified or (q.weight.m, q.weight.n, q.degree) != (m, n, t):
+        if (q.weight.m, q.weight.n, q.degree) != (m, n, t):
             return None
-        q.tolerance = tol
-        return q
+        return recertified(q, tol)
 
     def store(self, q: Quadrature) -> None:
         if not q.certified:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge, 2 for unreadable input
-files.  Output files contain no timestamps or environment data, so identical
-commands with identical cache state produce byte-identical files.
+files and invalid build plans.  Output files contain no timestamps or
+environment data, so identical commands with identical cache state produce
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -145,13 +146,13 @@ def _design_csv(design: Design) -> str:
 @_cache_dir_option
 def build_cmd(n, t, output, report_out, fmt, tol_quad, tol_design, max_k, max_iter, seed, phase, plan_file, cache_dir):
     """Plan, build, and verify a degree-T design on S^N."""
-    overrides = None
-    if plan_file:
-        raw = json.loads(plan_file.read_text())
-        overrides = {int(k): (int(v[0]), int(v[1])) for k, v in raw.items()}
+    overrides = _load_plan(plan_file) if plan_file else None
+    try:
+        bp = plan(n, t, overrides)
+    except ValueError as exc:
+        raise ParseError(f"invalid plan: {exc}")
     cache = QuadratureCache(cache_dir) if cache_dir else None
     opts = _solver_options(tol_quad, max_k, max_iter, seed)
-    bp = plan(n, t, overrides)
     try:
         design, report = build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
     except (BuildError, NoConvergenceError) as exc:
@@ -173,17 +174,48 @@ def build_cmd(n, t, output, report_out, fmt, tol_quad, tol_design, max_k, max_it
     sys.exit(0)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"parse error in {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+
+
+def _parse_json(path: Path, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        )
+
+
+def _load_plan(path: Path) -> dict[int, tuple[int, int]]:
+    """Split overrides from a --plan file: {"<ambient dim>": [m, n], ...}."""
+    raw = _parse_json(path, _read_text(path))
+    if not isinstance(raw, dict):
+        raise ParseError(f"parse error in {path}: expected an object mapping ambient dims to [m, n]")
+    overrides = {}
+    for key, value in raw.items():
+        try:
+            dim = int(key)
+        except ValueError:
+            raise ParseError(f"parse error in {path}: ambient dim {key!r} is not an integer")
+        if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+            raise ParseError(
+                f"parse error in {path}: split for {key!r} must be an [m, n] integer pair, "
+                f"got {json.dumps(value)}"
+            )
+        overrides[dim] = (value[0], value[1])
+    return overrides
+
+
 def _load_design(path: Path, t: int) -> Design:
-    text = path.read_text()
+    text = _read_text(path)
     if not text.strip():
         raise ParseError(f"parse error in {path}: file is empty")
     if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            )
+        data = _parse_json(path, text)
         try:
             return Design.from_json_dict(data)
         except (KeyError, ValueError, TypeError) as exc:

@@ -25,6 +25,7 @@ from functools import cache
 import numpy as np
 
 from . import verify as _verify
+from .cache import recertified
 from .moments import JacobiWeight
 from .quadrature import Quadrature, SolverOptions, certify, solve_equal_weight
 
@@ -329,7 +330,7 @@ class InMemoryQuadratureCache:
         return m, n, t, round(math.log10(tol))
 
     def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
-        return self._store.get(self._key(m, n, t, tol))
+        return recertified(self._store.get(self._key(m, n, t, tol)), tol)
 
     def store(self, q: Quadrature) -> None:
         if q.certified:

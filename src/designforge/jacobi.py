@@ -4,13 +4,14 @@ The recurrence coefficients for the weight (1-x)^alpha (1+x)^beta are the
 classical ones (Gautschi, "Orthogonal Polynomials: Computation and
 Approximation").  Since alpha and beta are half-integers here, every
 coefficient is an exact rational; we keep them as Fractions and convert to
-the requested float dtype only at evaluation time.  Polynomials are
-orthonormal with respect to the weight normalized to unit mass, so P_0 = 1
-and the exact average of P_d (d >= 1) is 0.
+the requested float dtype once per (weight, count, dtype), on first use.
+Polynomials are orthonormal with respect to the weight normalized to unit
+mass, so P_0 = 1 and the exact average of P_d (d >= 1) is 0.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -48,6 +49,22 @@ def _to_dtype(values: list[Fraction], dtype) -> np.ndarray:
     return np.array([dtype(v.numerator) / dtype(v.denominator) for v in values], dtype=dtype)
 
 
+@cache
+def _coefficients(w: JacobiWeight, count: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The first `count` coefficients as read-only `dtype` arrays (a_k, sqrt(b_k)).
+
+    Every LM evaluation needs the same few of these, and rebuilding them from
+    Fractions costs more than the evaluation itself.  The arrays are shared
+    by all callers, hence read-only.
+    """
+    a_frac, b_frac = recurrence_coefficients(w, count)
+    a = _to_dtype(a_frac, dtype)
+    sqrt_b = np.sqrt(_to_dtype(b_frac, dtype))
+    a.setflags(write=False)
+    sqrt_b.setflags(write=False)
+    return a, sqrt_b
+
+
 def orthonormal_values(
     w: JacobiWeight,
     max_degree: int,
@@ -62,9 +79,7 @@ def orthonormal_values(
     `dtype`, so passing np.longdouble gives extended-precision residuals.
     """
     x = np.asarray(x, dtype=dtype)
-    a_frac, b_frac = recurrence_coefficients(w, max_degree + 1)
-    a = _to_dtype(a_frac, dtype)
-    sqrt_b = np.sqrt(_to_dtype(b_frac, dtype))
+    a, sqrt_b = _coefficients(w, max_degree + 1, dtype)
 
     p = np.zeros((max_degree + 1, x.size), dtype=dtype)
     p[0] = 1
@@ -94,11 +109,10 @@ def gauss_rule(w: JacobiWeight, num_nodes: int) -> tuple[np.ndarray, np.ndarray]
     """
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    a_frac, b_frac = recurrence_coefficients(w, num_nodes)
-    diag = _to_dtype(a_frac, np.float64)
+    diag, sqrt_b = _coefficients(w, num_nodes, np.float64)
     if num_nodes == 1:
         return diag.copy(), np.array([w.mass])
-    off = np.sqrt(_to_dtype(b_frac[1:], np.float64))
+    off = sqrt_b[1:]
     try:
         from scipy.linalg import eigh_tridiagonal
 

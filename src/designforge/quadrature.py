@@ -13,7 +13,11 @@ polynomial p up to some degree t.  No closed-form construction is known, so
      wider spreads, seeded jitter);
   3. run Levenberg-Marquardt on the residuals of the orthonormal-polynomial
      averages, parameterizing t_k = cos(theta_k) so nodes can never leave
-     [-1, 1];
+     [-1, 1].  An attempt ends early once the best max|r| has gone 30
+     iterations without falling by 1%: on a K too small for degree t the
+     residual plateaus around 1e-1..1e-2, while attempts that converge
+     (surveyed over weights up to (4, 4), t <= 16 and three seeds) never went
+     more than 11 iterations without such a gain;
   4. on failure, grow K geometrically (x1.5, rounded up) and retry, up to
      max_K.
 
@@ -30,6 +34,12 @@ import numpy as np
 
 from .jacobi import gauss_rule, orthonormal_values
 from .moments import JacobiWeight
+
+
+# An LM attempt stops once its best max|r| has not fallen by STALL_GAIN
+# (relative) in STALL_WINDOW iterations; see step 3 of the module docstring.
+STALL_GAIN = 0.01
+STALL_WINDOW = 30
 
 
 @dataclass
@@ -235,7 +245,8 @@ def _levenberg_marquardt(
     """Minimize the residual vector over node angles; returns (theta, max|r|, iters).
 
     Marquardt-scaled damping; the target is pushed below tol so the
-    extended-precision re-certification has headroom.
+    extended-precision re-certification has headroom.  Gives up early on a
+    stalled attempt (STALL_GAIN, STALL_WINDOW).
     """
     target = 0.05 * tol
     K = theta.size
@@ -251,12 +262,18 @@ def _levenberg_marquardt(
     lam = 1e-3
     iterations = 0
     best_theta, best_max = theta.copy(), float(np.max(np.abs(r)))
+    mark, stalled = best_max, 0
     for _ in range(max_iterations):
         max_r = float(np.max(np.abs(r)))
         if max_r < best_max:
             best_max, best_theta = max_r, theta.copy()
         if max_r <= target:
             break
+        if best_max <= (1.0 - STALL_GAIN) * mark:
+            mark, stalled = best_max, 0
+        elif stalled >= STALL_WINDOW:
+            break
+        stalled += 1
         iterations += 1
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()

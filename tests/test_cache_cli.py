@@ -1,12 +1,15 @@
 """Disk cache semantics, file formats, CLI behavior, and determinism."""
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from designforge import JacobiWeight, Quadrature, solve_equal_weight
-from designforge.cache import QuadratureCache
+from designforge import InMemoryQuadratureCache, JacobiWeight, Quadrature, certify, solve_equal_weight
+from designforge.cache import QuadratureCache, atomic_write_text
 from designforge.cli import main
 
 
@@ -60,11 +63,67 @@ class TestQuadratureCache:
         cache.store(q)  # refused: not certified
         assert cache.lookup(2, 2, 2, 1e-12) is None
 
+    @pytest.mark.parametrize("kind", ["disk", "memory"])
+    def test_hit_recertified_at_requested_tolerance(self, tmp_path, kind):
+        # a rule certified at 3e-12 shares the e-12 bucket with 5e-13 but
+        # must not be served there
+        q, _ = solve_equal_weight(JacobiWeight(2, 2), 3)
+        nodes = q.nodes.copy()
+        nodes[0] += 1e-12
+        loose = Quadrature(weight=q.weight, degree=3, nodes=nodes)
+        certify(loose, 3e-12)
+        assert loose.certified and loose.max_abs_residual > 5e-13
+        cache = QuadratureCache(tmp_path) if kind == "disk" else InMemoryQuadratureCache()
+        cache.store(loose)
+        assert cache.lookup(2, 2, 3, 5e-13) is None
+        hit = cache.lookup(2, 2, 3, 3e-12)
+        assert hit is not None and hit.certified
+        assert hit.max_abs_residual == loose.max_abs_residual
+        assert np.array_equal(hit.nodes, loose.nodes)
+
+    def test_stored_certified_flag_not_trusted(self, tmp_path):
+        cache = QuadratureCache(tmp_path)
+        q = Quadrature(weight=JacobiWeight(2, 2), degree=2, nodes=np.array([-1.0, 1.0]))
+        q.certified, q.tolerance = True, 1e-12  # a forged flag
+        cache.store(q)
+        assert cache.lookup(2, 2, 2, 1e-12) is None
+
     def test_build_index(self, tmp_path):
         cache = QuadratureCache(tmp_path)
         assert cache.achieved(2, 3) is None
         cache.record_build(2, 3, 24)
         assert cache.achieved(2, 3) == 24
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers(self, tmp_path):
+        # more writers than cores, all replacing one file; with a shared temp
+        # name a writer's rename finds its temp file already moved away
+        path = tmp_path / "shared.json"
+        writers = 4 * (os.cpu_count() or 1) + 4
+        errors = []
+
+        def write(i):
+            try:
+                for j in range(50):
+                    atomic_write_text(path, json.dumps({"writer": i, "round": j, "pad": "x" * 4096}) + "\n")
+            except Exception as exc:  # noqa: BLE001 - collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(i,), daemon=True) for i in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert json.loads(path.read_text())["round"] == 49
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.json"]
 
 
 class TestBoundsCommand:
@@ -174,6 +233,27 @@ class TestBuildCommand:
         assert result.exit_code == 0
         tree = json.loads(out.read_text())["tree"]
         assert (tree["m"], tree["n"]) == (1, 3)
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b'{"4": [1, 3]', "parse error"),
+            (b'{"4": [1, 1]}', "summing to 4"),
+            (b'{"4": [1.5, 2.5]}', "integer pair"),
+            (b'{"4": 3}', "integer pair"),
+            (b'\xff{"4": [1, 3]}', "not UTF-8"),
+        ],
+        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8"],
+    )
+    def test_bad_plan_file_exits_2(self, runner, tmp_path, content, message):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_bytes(content)
+        result = runner.invoke(main, ["build", "3", "2", "--plan", str(plan_file)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert len(result.output.strip().splitlines()) == 1
+        assert not isinstance(result.exception, (ValueError, json.JSONDecodeError))
 
     def test_phase_changes_points_not_verdict(self, runner, tmp_path):
         a = tmp_path / "a.json"
@@ -289,6 +369,13 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert result.exit_code == 2
         assert "line 2" in result.output
+
+    def test_non_utf8_file_is_parse_error(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe1,0\n")
+        result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
+        assert result.exit_code == 2
+        assert "not UTF-8" in result.output
 
     def test_malformed_csv_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -17,7 +17,8 @@ from designforge import (
     residual_vector,
     solve_equal_weight,
 )
-from designforge.jacobi import orthonormal_values
+from designforge.jacobi import _coefficients, _to_dtype, orthonormal_values, recurrence_coefficients
+from designforge.quadrature import _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt
 
 mp.mp.dps = 40
 
@@ -85,6 +86,53 @@ class TestOrthonormalPolynomials:
             for d, c in enumerate(coeffs):
                 oracle = float(mp.fsum(c[j] * mp.mpf(x) ** j for j in range(len(c))))
                 assert values[d, i] == pytest.approx(oracle, abs=5e-15)
+
+
+class TestCachedCoefficients:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 3), (1, 4)])
+    def test_match_exact_fraction_conversion(self, dtype, m, n):
+        w = JacobiWeight(m, n)
+        a, sqrt_b = _coefficients(w, 12, dtype)
+        a_frac, b_frac = recurrence_coefficients(w, 12)
+        assert a.dtype == dtype and sqrt_b.dtype == dtype
+        assert np.array_equal(a, _to_dtype(a_frac, dtype))
+        assert np.array_equal(sqrt_b, np.sqrt(_to_dtype(b_frac, dtype)))
+
+    def test_read_only(self):
+        a, sqrt_b = _coefficients(JacobiWeight(2, 2), 5, np.float64)
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        with pytest.raises(ValueError):
+            sqrt_b[0] = 1.0
+
+
+class TestStallRule:
+    def _inits(self, w, t, K):
+        rng = np.random.default_rng(0)
+        return [
+            _init_gauss_multiplicity(w, t, K, spread=0.05),
+            _init_quantile(w, K),
+            _init_gauss_multiplicity(w, t, K, spread=0.4),
+            _init_quantile(w, K) + rng.normal(scale=0.1 / K, size=K),
+        ]
+
+    def test_doomed_K_stops_early(self):
+        # no equal-weight rule of degree 10 for (2, 1) has 6 nodes; the
+        # residual plateaus and every init used to run all 300 iterations
+        w = JacobiWeight(2, 1)
+        for theta0 in self._inits(w, 10, 6):
+            _, max_r, iters = _levenberg_marquardt(theta0, w, 10, 1e-12, 300)
+            assert max_r > 1e-3
+            assert iters < 100
+
+    def test_succeeding_attempt_still_converges(self):
+        w = JacobiWeight(2, 1)
+        theta, max_r, _ = _levenberg_marquardt(_init_gauss_multiplicity(w, 10, 21, 0.05), w, 10, 1e-12, 300)
+        assert max_r <= 0.05 * 1e-12
+        q = Quadrature(weight=w, degree=10, nodes=np.cos(theta))
+        certify(q, 1e-12)
+        assert q.certified and q.K == 21
 
 
 class TestResidualVector:
