@@ -37,7 +37,6 @@ from .quadrature import (
 )
 from .verify import (
     VerificationReport,
-    mc_moment_oracle,
     verify_gegenbauer,
     verify_monomials,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "iter_multi_indices",
     "jacobi_moment_ratio",
     "lower_bound",
-    "mc_moment_oracle",
     "plan",
     "power_moment",
     "product",

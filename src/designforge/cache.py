@@ -5,12 +5,14 @@ same tolerance magnitude reuse solves.  A bucket can hold a rule certified
 at a looser tolerance than the one asked for, so every hit is re-certified
 at the requested tolerance and served only if it passes.  Writes are atomic
 (write a unique temp file, then rename) and idempotent: storing the same key
-twice leaves one file.  Corrupt entries are ignored with a warning and
-rebuilt.
+twice leaves one file.  Recording a build holds a file lock across its
+read-modify-write of the size index.  Corrupt entries are ignored with a
+warning and rebuilt.
 """
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import math
 import os
@@ -102,14 +104,18 @@ class QuadratureCache:
         return self.root / "builds.json"
 
     def record_build(self, n: int, t: int, cardinality: int) -> None:
-        data = {}
-        if self._builds_path.exists():
-            try:
-                data = json.loads(self._builds_path.read_text())
-            except ValueError:
-                data = {}
-        data[f"n{n}_t{t}"] = cardinality
-        atomic_write_text(self._builds_path, dump_json(dict(sorted(data.items()))))
+        # an exclusive lock on a sidecar file spans the read and the write, so
+        # concurrent recorders (threads or processes) never drop each other's entries
+        with open(self.root / "builds.json.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            data = {}
+            if self._builds_path.exists():
+                try:
+                    data = json.loads(self._builds_path.read_text())
+                except ValueError:
+                    data = {}
+            data[f"n{n}_t{t}"] = cardinality
+            atomic_write_text(self._builds_path, dump_json(dict(sorted(data.items()))))
 
     def achieved(self, n: int, t: int) -> int | None:
         if not self._builds_path.exists():

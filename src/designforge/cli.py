@@ -1,8 +1,9 @@
 """Command-line surface: bounds tables, quadrature solves, builds, verification.
 
 Exit codes: 0 when every requested certification passed, 1 when a
-certification failed or a solve did not converge, 2 for unreadable input
-files and invalid build plans.  Output files contain no timestamps or
+certification failed or a solve did not converge, 2 with a one-line message
+for user-input errors: unreadable input files, invalid build plans, and
+out-of-range dimensions or degrees.  Output files contain no timestamps or
 environment data, so identical commands with identical cache state produce
 byte-identical files.
 """
@@ -37,8 +38,19 @@ _cache_dir_option = click.option(
 )
 
 
-class ParseError(click.ClickException):
+class InputError(click.ClickException):
+    """A user-input error: one line on stderr and exit code 2."""
+
     exit_code = 2
+
+
+def _at_least(low: int):
+    def check(ctx, param, value):
+        if value < low:
+            raise InputError(f"{param.human_readable_name} must be >= {low}, got {value}")
+        return value
+
+    return check
 
 
 def _positive(ctx, param, value):
@@ -57,7 +69,7 @@ def main():
 
 
 @main.command()
-@click.argument("n", type=int)
+@click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t_max", type=int)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @_cache_dir_option
@@ -92,9 +104,9 @@ def bounds(n, t_max, fmt, cache_dir):
 
 
 @main.command()
-@click.argument("m", type=int)
-@click.argument("n", type=int)
-@click.argument("t", type=int)
+@click.argument("m", type=int, callback=_at_least(1))
+@click.argument("n", type=int, callback=_at_least(1))
+@click.argument("t", type=int, callback=_at_least(0))
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive)
 @click.option("--max-k", type=int, default=512, show_default=True, callback=_positive)
@@ -150,7 +162,7 @@ def build_cmd(n, t, output, report_out, fmt, tol_quad, tol_design, max_k, max_it
     try:
         bp = plan(n, t, overrides)
     except ValueError as exc:
-        raise ParseError(f"invalid plan: {exc}")
+        raise InputError(f"invalid plan: {exc}")
     cache = QuadratureCache(cache_dir) if cache_dir else None
     opts = _solver_options(tol_quad, max_k, max_iter, seed)
     try:
@@ -178,14 +190,14 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_text()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"parse error in {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
+        raise InputError(f"parse error in {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
 def _parse_json(path: Path, text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
+        raise InputError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
 
@@ -194,15 +206,15 @@ def _load_plan(path: Path) -> dict[int, tuple[int, int]]:
     """Split overrides from a --plan file: {"<ambient dim>": [m, n], ...}."""
     raw = _parse_json(path, _read_text(path))
     if not isinstance(raw, dict):
-        raise ParseError(f"parse error in {path}: expected an object mapping ambient dims to [m, n]")
+        raise InputError(f"parse error in {path}: expected an object mapping ambient dims to [m, n]")
     overrides = {}
     for key, value in raw.items():
         try:
             dim = int(key)
         except ValueError:
-            raise ParseError(f"parse error in {path}: ambient dim {key!r} is not an integer")
+            raise InputError(f"parse error in {path}: ambient dim {key!r} is not an integer")
         if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
-            raise ParseError(
+            raise InputError(
                 f"parse error in {path}: split for {key!r} must be an [m, n] integer pair, "
                 f"got {json.dumps(value)}"
             )
@@ -213,13 +225,13 @@ def _load_plan(path: Path) -> dict[int, tuple[int, int]]:
 def _load_design(path: Path, t: int) -> Design:
     text = _read_text(path)
     if not text.strip():
-        raise ParseError(f"parse error in {path}: file is empty")
+        raise InputError(f"parse error in {path}: file is empty")
     if text.lstrip().startswith("{"):
         data = _parse_json(path, text)
         try:
             return Design.from_json_dict(data)
         except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"parse error in {path}: {exc}")
+            raise InputError(f"parse error in {path}: {exc}")
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -227,18 +239,18 @@ def _load_design(path: Path, t: int) -> Design:
         try:
             rows.append([float(v) for v in line.split(",")])
         except ValueError as exc:
-            raise ParseError(f"parse error in {path} at line {lineno}: {exc}")
+            raise InputError(f"parse error in {path} at line {lineno}: {exc}")
     if not rows:
-        raise ParseError(f"parse error in {path}: no data rows")
+        raise InputError(f"parse error in {path}: no data rows")
     try:
         return Design(ambient_dim=len(rows[0]), degree=t, points=np.array(rows))
     except ValueError as exc:
-        raise ParseError(f"parse error in {path}: {exc}")
+        raise InputError(f"parse error in {path}: {exc}")
 
 
 @main.command()
 @click.argument("design_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("-t", "--degree", type=int, required=True)
+@click.option("-t", "--degree", type=int, required=True, callback=_at_least(0))
 @click.option("--tol", type=float, default=1e-9, show_default=True, callback=_positive)
 @click.option("--method", type=click.Choice(["monomial", "gegenbauer", "both"]), default="both", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -251,7 +263,7 @@ def verify(design_file, degree, tol, method, fmt):
     if method in ("gegenbauer", "both") and design.ambient_dim >= 2:
         reports.append(verify_gegenbauer(design, degree, tol))
     if not reports:
-        raise click.ClickException("no applicable verification method")
+        raise InputError(f"--method gegenbauer needs ambient dimension >= 2, {design_file} has 1")
     if fmt == "json":
         click.echo(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:

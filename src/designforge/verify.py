@@ -1,24 +1,44 @@
 """Certification of the design property against exact moments.
 
-Two independent criteria:
+Both criteria read one table.  For every monomial x^alpha of total degree
+<= t it holds the deviation
 
-* `verify_monomials` compares the multiset average of every monomial of
-  total degree <= t with its exact rational sphere moment.  Averages are
-  accumulated in extended precision with pairwise reduction, so the result
-  is exact to well under one double ulp.
-* `verify_gegenbauer` checks that the pairwise sums of the ambient sphere's
-  degree-k zonal polynomials vanish for k = 1..t.  By the addition theorem
-  each sum is a sum of squares, so it vanishes exactly when the point set
-  averages all degree-k harmonics to zero.  Sums are normalized by N^2 and
-  the polynomial's value at 1 so residuals are comparable across degrees.
+    delta_alpha = (1/N) sum_i x_i^alpha - mu_alpha
 
-The Monte Carlo oracle is deliberately dumb (normalized Gaussian sampling)
-and exists to cross-check the closed-form moments, not to certify designs.
+of the point average from the exact rational sphere moment mu_alpha.
+Averages are accumulated in extended precision with pairwise reduction, so
+each deviation is exact to well under one double ulp.  The table costs
+O(N * C(d+t, t)) time for N points in R^d, and about d*t*N extended-precision
+numbers of memory.
+
+* `verify_monomials` reports the largest |delta_alpha|.
+* `verify_gegenbauer` reports, for k = 1..t, the pairwise sum of the ambient
+  sphere's degree-k zonal polynomial C_k (Gegenbauer, parameter (d-2)/2;
+  Chebyshev for d = 2), normalized by N^2 and by C_k(1) so residuals are
+  comparable across degrees.  By the addition theorem each sum is a sum of
+  squares, so it vanishes exactly when the point set averages all degree-k
+  harmonics to zero (Delsarte, Goethals and Seidel, 1977).
+
+The pairwise sum is read off the table instead of the N^2 inner products.
+For unit vectors (x.y)^j = sum_{|alpha|=j} (j!/alpha!) x^alpha y^alpha, so
+with C_k(s) = sum_j c_{k,j} s^j
+
+    (1/N^2) sum_{i,l} C_k(x_i.x_l) = sum_j c_{k,j} sum_{|alpha|=j} (j!/alpha!) delta_alpha^2.
+
+Writing each average as mu_alpha + delta_alpha gives two more terms, and
+both vanish for k >= 1: the mu.mu term is the double sphere integral of
+C_k(x.y), and the mu.delta term is the point average of the sphere integral
+of C_k(x_i.y) over y.  A zonal harmonic of degree k >= 1 integrates to zero
+over the sphere when |x_i| = 1, and `Design` holds every point to unit norm
+within 1e-12.  Dropping those terms is what keeps the rounding floor at the
+size of delta^2.  Summing squared averages instead cancels terms as large as
+|c_{k,j}|, and that floor reaches 1e-9 on the 33-gon at degree 32.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,29 +74,38 @@ def _fraction_to_longdouble(f) -> np.longdouble:
     return np.longdouble(f.numerator) / np.longdouble(f.denominator)
 
 
-def verify_monomials(design, t: int, tol: float) -> VerificationReport:
-    """Max deviation of monomial averages from exact moments, degree <= t."""
+def _moment_deviations(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]:
+    """(alpha, mean of x^alpha over the points minus its sphere moment), |alpha| <= t."""
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
     pts = np.asarray(design.points, dtype=np.longdouble)
     count, dim = pts.shape
     # x_c^e for every coordinate and exponent, so each monomial is a few
-    # elementwise products instead of a fresh power computation
-    powers = np.ones((dim, t + 1, count), dtype=np.longdouble)
+    # elementwise products instead of a fresh power computation; every
+    # coordinate shares one array of ones for e = 0
+    ones = np.ones(count, dtype=np.longdouble)
+    powers = [[ones] for _ in range(dim)]
     for c in range(dim):
         for e in range(1, t + 1):
-            powers[c, e] = powers[c, e - 1] * pts[:, c]
+            powers[c].append(powers[c][e - 1] * pts[:, c])
 
-    worst = -1.0
-    worst_alpha = None
+    out = []
     for alpha in iter_multi_indices(dim, t):
-        values = powers[0, alpha[0]].copy()
+        values = powers[0][alpha[0]].copy()
         for c in range(1, dim):
             if alpha[c]:
-                values *= powers[c, alpha[c]]
+                values *= powers[c][alpha[c]]
         average = values.sum() / count
-        target = _fraction_to_longdouble(sphere_monomial_moment(dim, alpha))
-        residual = float(abs(average - target))
+        out.append((alpha, average - _fraction_to_longdouble(sphere_monomial_moment(dim, alpha))))
+    return out
+
+
+def verify_monomials(design, t: int, tol: float) -> VerificationReport:
+    """Max deviation of monomial averages from exact moments, degree <= t."""
+    worst = -1.0
+    worst_alpha = None
+    for alpha, delta in _moment_deviations(design, t):
+        residual = float(abs(delta))
         if residual > worst:
             worst = residual
             worst_alpha = alpha
@@ -90,45 +119,53 @@ def verify_monomials(design, t: int, tol: float) -> VerificationReport:
     )
 
 
-def _zonal_value_at_one(k: int, dim: int) -> float:
-    # C_k^lambda(1) with lambda = (dim-2)/2; equals 1 for dim = 2 (Chebyshev)
-    if dim == 2:
-        return 1.0
-    return float(math.comb(k + dim - 3, k))
+def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
+    """Row k holds the power-basis coefficients of C_k(s) / C_k(1), k <= t.
+
+    Exact recurrence for the normalized polynomials, lambda = (dim - 2)/2:
+    (k + 2 lambda) P_{k+1} = 2 (k + lambda) s P_k - k P_{k-1}, with P_0 = 1
+    and P_1 = s.  At lambda = 0 it is the Chebyshev recurrence.
+    """
+    lam = Fraction(dim - 2, 2)
+    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(1, t):
+        nxt = [Fraction(0)] + [2 * (k + lam) * c for c in rows[k]]
+        for j, c in enumerate(rows[k - 1]):
+            nxt[j] -= k * c
+        rows.append([c / (k + 2 * lam) for c in nxt])
+    out = np.zeros((t + 1, t + 1), dtype=np.longdouble)
+    for k in range(t + 1):
+        for j, c in enumerate(rows[k]):
+            out[k, j] = _fraction_to_longdouble(c)
+    return out
+
+
+def _multinomial(alpha: MultiIndex) -> int:
+    """|alpha|! / (alpha_1! ... alpha_d!)."""
+    out = math.factorial(alpha.degree)
+    for e in alpha:
+        out //= math.factorial(e)
+    return out
 
 
 def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
-    """Pairwise zonal-polynomial sums, normalized by N^2 and the value at 1."""
-    if t < 0:
-        raise ValueError(f"degree must be >= 0, got {t}")
-    dim = design.ambient_dim
-    if dim < 2:
-        raise ValueError("pairwise criterion needs ambient dimension >= 2; use verify_monomials")
-    pts = np.asarray(design.points, dtype=np.float64)
-    count = pts.shape[0]
-    lam = (dim - 2) / 2.0
+    """Pairwise zonal-polynomial sums, normalized by N^2 and the value at 1.
 
-    sums = np.zeros(t + 1)
-    block = max(1, min(count, 2**22 // max(count, 1)))
-    for start in range(0, count, block):
-        x = pts[start : start + block] @ pts.T
-        prev = np.ones_like(x)
-        if t >= 1:
-            cur = x.copy() if dim == 2 else 2.0 * lam * x
-        sums[0] += prev.sum()
-        for k in range(1, t + 1):
-            sums[k] += cur.sum()
-            if k < t:
-                if dim == 2:
-                    nxt = 2.0 * x * cur - prev
-                else:
-                    nxt = (2.0 * (k + lam) * x * cur - (k + 2.0 * lam - 1.0) * prev) / (k + 1.0)
-                prev, cur = cur, nxt
+    Computed from squared moment deviations (see the module docstring) in
+    O(N * C(d+t, t)) time instead of O(N^2 * t).
+    """
+    if design.ambient_dim < 2:
+        raise ValueError("pairwise criterion needs ambient dimension >= 2; use verify_monomials")
+    deviations = _moment_deviations(design, t)
+    squares = np.zeros(t + 1, dtype=np.longdouble)
+    for alpha, delta in deviations:
+        squares[alpha.degree] += np.longdouble(_multinomial(alpha)) * delta * delta
+    sums = _zonal_coefficients(design.ambient_dim, t) @ squares
 
     worst = -1.0
     worst_k = None
     for k in range(1, t + 1):
-        residual = float(abs(sums[k])) / (count**2 * _zonal_value_at_one(k, dim))
+        residual = float(abs(sums[k]))
         if residual > worst:
             worst = residual
             worst_k = k
@@ -142,38 +179,3 @@ def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
         tolerance=tol,
         worst_degree=worst_k,
     )
-
-
-def mc_moment_oracle(
-    dim: int, alpha: MultiIndex, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of a sphere monomial moment, with standard error.
-
-    Uniform sphere points are normalized Gaussian vectors; deterministic for
-    a fixed seed.  Returns (estimate, standard_error).
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if len(alpha) != dim:
-        raise ValueError(f"multi-index has {len(alpha)} entries, expected {dim}")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    remaining = samples
-    chunk = 1_000_000
-    while remaining > 0:
-        size = min(chunk, remaining)
-        g = rng.standard_normal((size, dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        values = np.ones(size)
-        for c, e in enumerate(alpha):
-            if e:
-                values *= g[:, c] ** e
-        total += float(values.sum())
-        total_sq += float((values**2).sum())
-        remaining -= size
-    mean = total / samples
-    if samples == 1:
-        return mean, math.inf
-    variance = max(total_sq / samples - mean**2, 0.0) * samples / (samples - 1)
-    return mean, math.sqrt(variance / samples)

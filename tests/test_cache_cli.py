@@ -18,6 +18,14 @@ def runner():
     return CliRunner()
 
 
+def assert_input_error(result, message):
+    """A user-input error: exit code 2 and a one-line message, no traceback."""
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
+
+
 class TestQuadratureCache:
     def test_store_then_lookup_bit_exact(self, tmp_path):
         cache = QuadratureCache(tmp_path)
@@ -94,6 +102,37 @@ class TestQuadratureCache:
         cache.record_build(2, 3, 24)
         assert cache.achieved(2, 3) == 24
 
+    def test_concurrent_record_build_keeps_every_entry(self, tmp_path):
+        # an unlocked read-modify-write lets one recorder overwrite another's entry
+        cache = QuadratureCache(tmp_path)
+        recorders, rounds = 8, 25
+        start = threading.Barrier(recorders)
+        errors = []
+
+        def record(n):
+            try:
+                start.wait()
+                for t in range(1, rounds + 1):
+                    cache.record_build(n, t, 100 * n + t)
+            except Exception as exc:  # noqa: BLE001 - collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=record, args=(n,), daemon=True) for n in range(1, recorders + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        for n in range(1, recorders + 1):
+            for t in range(1, rounds + 1):
+                assert cache.achieved(n, t) == 100 * n + t, (n, t)
+
 
 class TestAtomicWrite:
     def test_concurrent_writers(self, tmp_path):
@@ -144,6 +183,9 @@ class TestBoundsCommand:
         result = runner.invoke(main, ["bounds", "2", "0"])
         assert result.exit_code == 0
 
+    def test_sphere_dim_zero_exits_2(self, runner):
+        assert_input_error(runner.invoke(main, ["bounds", "0", "3"]), "N must be >= 1")
+
     def test_achieved_column_fed_by_cache(self, runner, tmp_path):
         build_result = runner.invoke(
             main, ["build", "2", "2", "--cache-dir", str(tmp_path)]
@@ -191,6 +233,9 @@ class TestQuadratureCommand:
     def test_degree_zero(self, runner):
         result = runner.invoke(main, ["quadrature", "3", "2", "0"])
         assert result.exit_code == 0 and "K=1" in result.output
+
+    def test_factor_dim_zero_exits_2(self, runner):
+        assert_input_error(runner.invoke(main, ["quadrature", "0", "2", "3"]), "M must be >= 1")
 
 
 class TestBuildCommand:
@@ -316,6 +361,16 @@ class TestVerifyCommand:
     def test_pass_at_built_degree(self, runner, s2_design_file):
         result = runner.invoke(main, ["verify", str(s2_design_file), "-t", "1"])
         assert result.exit_code == 0
+
+    def test_negative_degree_exits_2(self, runner, s2_design_file):
+        result = runner.invoke(main, ["verify", str(s2_design_file), "-t", "-1"])
+        assert_input_error(result, "degree must be >= 0")
+
+    def test_gegenbauer_on_ambient_one_exits_2(self, runner, tmp_path):
+        pair = tmp_path / "pair.csv"
+        pair.write_text("1.0\n-1.0\n")
+        result = runner.invoke(main, ["verify", str(pair), "-t", "1", "--method", "gegenbauer"])
+        assert_input_error(result, "needs ambient dimension >= 2")
 
     def test_fail_above_built_degree(self, runner, s2_design_file):
         # the 4-point set averages x^2 to 2/3, not 1/3

@@ -13,10 +13,10 @@ from designforge import (
     count_multi_indices,
     iter_multi_indices,
     jacobi_moment_ratio,
-    mc_moment_oracle,
     power_moment,
     sphere_monomial_moment,
 )
+from oracles import mc_moment_oracle
 
 mp.mp.dps = 40
 

@@ -3,14 +3,16 @@ import numpy as np
 import pytest
 
 from designforge import (
+    BuildError,
     Design,
     MultiIndex,
     base_s1,
-    mc_moment_oracle,
     sphere_monomial_moment,
     verify_gegenbauer,
     verify_monomials,
 )
+from designforge import construct
+from oracles import gegenbauer_block_sum, mc_moment_oracle
 
 
 def random_rotation(dim, seed):
@@ -85,6 +87,53 @@ class TestVerifyGegenbauer:
         d = Design(ambient_dim=1, degree=1, points=np.array([[1.0], [-1.0]]))
         with pytest.raises(ValueError):
             verify_gegenbauer(d, 1, 1e-9)
+
+
+class TestPairwiseAgainstBlockSum:
+    """The moment-deviation form against the direct O(N^2) pairwise sum."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_point_sets_agree(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for t in range(9):
+            pts = rng.standard_normal((20 + 3 * t, dim))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            d = Design(ambient_dim=dim, degree=t, points=pts)
+            fast = verify_gegenbauer(d, t, 1e-9)
+            slow = gegenbauer_block_sum(d, t, 1e-9)
+            assert fast.max_abs_residual == pytest.approx(slow.max_abs_residual, rel=1e-9, abs=0)
+            assert fast.worst_degree == slow.worst_degree
+
+    @pytest.mark.parametrize("t", [20, 32, 40])
+    def test_large_polygon_passes_t_fails_t_plus_one(self, t):
+        # summing squared averages instead of squared deviations leaves a
+        # rounding floor above 1e-9 by t = 32
+        gon = base_s1(t)
+        assert verify_gegenbauer(gon, t, 1e-12).passed
+        report = verify_gegenbauer(gon, t + 1, 1e-12)
+        assert not report.passed
+        assert report.worst_degree == t + 1
+
+    def test_ambient_seven_corruption_caught(self, built):
+        # above ambient 6 the pairwise check is the only verifier a build runs;
+        # its residual is quadratic in the shift, hence the larger move
+        design, report = built(6, 3)
+        assert report.root.verify_method == "gegenbauer"
+        bad = corrupted(design, delta=0.1)
+        assert not verify_gegenbauer(bad, 3, 1e-9).passed
+        assert not gegenbauer_block_sum(bad, 3, 1e-9).passed
+
+    def test_build_rejects_corrupted_ambient_seven_root(self, monkeypatch, quad_cache):
+        real_product = construct.product
+
+        def corrupting_product(X, Y, quad):
+            design = real_product(X, Y, quad)
+            return corrupted(design, delta=0.1) if design.ambient_dim == 7 else design
+
+        monkeypatch.setattr(construct, "product", corrupting_product)
+        with pytest.raises(BuildError) as excinfo:
+            construct.build(construct.plan(6, 3), cache_obj=quad_cache)
+        assert excinfo.value.node_path == "root"
 
 
 class TestAgreementAndInvariance:
