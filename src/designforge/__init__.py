@@ -31,12 +31,12 @@ from .quadrature import (
     QuadratureReport,
     SolverOptions,
     certify,
-    gauss_jacobi_init,
     residual_vector,
     solve_equal_weight,
 )
 from .verify import (
     VerificationReport,
+    verify_design,
     verify_gegenbauer,
     verify_monomials,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "build",
     "certify",
     "count_multi_indices",
-    "gauss_jacobi_init",
     "iter_multi_indices",
     "jacobi_moment_ratio",
     "lower_bound",
@@ -73,6 +72,7 @@ __all__ = [
     "solve_cached",
     "solve_equal_weight",
     "sphere_monomial_moment",
+    "verify_design",
     "verify_gegenbauer",
     "verify_monomials",
     "__version__",

@@ -1,13 +1,13 @@
-"""On-disk quadrature cache plus a small index of achieved build sizes.
+"""Quadrature caches, on disk and in memory, plus an index of achieved build sizes.
 
-Cache keys bucket the tolerance by its decimal exponent, so re-runs at the
-same tolerance magnitude reuse solves.  A bucket can hold a rule certified
-at a looser tolerance than the one asked for, so every hit is re-certified
-at the requested tolerance and served only if it passes.  Writes are atomic
-(write a unique temp file, then rename) and idempotent: storing the same key
-twice leaves one file.  Recording a build holds a file lock across its
-read-modify-write of the size index.  Corrupt entries are ignored with a
-warning and rebuilt.
+Both caches use one key, which buckets the tolerance by its decimal exponent,
+so re-runs at the same tolerance magnitude reuse solves.  A bucket can hold a
+rule certified at a looser tolerance than the one asked for, so every hit is
+re-certified at the requested tolerance and served only if it passes.  Disk
+writes are atomic (write a unique temp file, then rename) and idempotent:
+storing the same key twice leaves one file.  Recording a build holds a file
+lock across its read-modify-write of the size index.  Corrupt entries are
+ignored with a warning and rebuilt.
 """
 from __future__ import annotations
 
@@ -64,18 +64,35 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def key(m: int, n: int, t: int, tol: float) -> str:
+    """Cache key of a rule; the on-disk cache stores it as <key>.json."""
+    return f"m{m}_n{n}_t{t}_e{round(math.log10(tol))}"
+
+
+class InMemoryQuadratureCache:
+    """Session-local quadrature store."""
+
+    def __init__(self):
+        self._store: dict[str, Quadrature] = {}
+
+    def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
+        return recertified(self._store.get(key(m, n, t, tol)), tol)
+
+    def store(self, q: Quadrature) -> None:
+        if q.certified:
+            self._store[key(q.weight.m, q.weight.n, q.degree, q.tolerance)] = q
+
+
 class QuadratureCache:
+    key = staticmethod(key)
+
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.quad_dir = self.root / "quadratures"
         self.quad_dir.mkdir(parents=True, exist_ok=True)
 
-    @staticmethod
-    def key(m: int, n: int, t: int, tol: float) -> str:
-        return f"m{m}_n{n}_t{t}_e{round(math.log10(tol))}"
-
     def _path(self, m: int, n: int, t: int, tol: float) -> Path:
-        return self.quad_dir / (self.key(m, n, t, tol) + ".json")
+        return self.quad_dir / (key(m, n, t, tol) + ".json")
 
     def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
         path = self._path(m, n, t, tol)

@@ -3,13 +3,14 @@
 Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge, 2 with a one-line message
 for user-input errors: unreadable input files, invalid build plans, and
-out-of-range dimensions or degrees.  Output files contain no timestamps or
-environment data, so identical commands with identical cache state produce
-byte-identical files.
+out-of-range dimensions, degrees, tolerances or solver limits.  Output files
+contain no timestamps or environment data, so identical commands with
+identical cache state produce byte-identical files.
 """
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,10 +25,10 @@ from .construct import (
     build,
     lower_bound,
     plan,
+    solve_cached,
 )
-from .moments import JacobiWeight
-from .quadrature import NoConvergenceError, SolverOptions, solve_equal_weight
-from .verify import verify_gegenbauer, verify_monomials
+from .quadrature import NoConvergenceError, SolverOptions, encode_floats
+from .verify import verify_design
 
 _cache_dir_option = click.option(
     "--cache-dir",
@@ -44,18 +45,28 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
+def _name(param) -> str:
+    return param.opts[-1] if isinstance(param, click.Option) else param.human_readable_name
+
+
 def _at_least(low: int):
     def check(ctx, param, value):
         if value < low:
-            raise InputError(f"{param.human_readable_name} must be >= {low}, got {value}")
+            raise InputError(f"{_name(param)} must be >= {low}, got {value}")
         return value
 
     return check
 
 
 def _positive(ctx, param, value):
-    if value is not None and value <= 0:
-        raise click.BadParameter("must be strictly positive")
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{_name(param)} must be a finite number > 0, got {value}")
+    return value
+
+
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise InputError(f"{_name(param)} must be a finite number, got {value}")
     return value
 
 
@@ -109,8 +120,8 @@ def bounds(n, t_max, fmt, cache_dir):
 @click.argument("t", type=int, callback=_at_least(0))
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None)
 @click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive)
-@click.option("--max-k", type=int, default=512, show_default=True, callback=_positive)
-@click.option("--max-iter", type=int, default=300, show_default=True)
+@click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1))
+@click.option("--max-iter", type=int, default=300, show_default=True, callback=_at_least(1))
 @click.option("--seed", type=int, default=0, show_default=True)
 @_cache_dir_option
 def quadrature(m, n, t, output, tol_quad, max_k, max_iter, seed, cache_dir):
@@ -118,16 +129,12 @@ def quadrature(m, n, t, output, tol_quad, max_k, max_iter, seed, cache_dir):
     cache = QuadratureCache(cache_dir) if cache_dir else None
     opts = _solver_options(tol_quad, max_k, max_iter, seed)
     exit_code = 0
-    q = cache.lookup(m, n, t, tol_quad) if cache else None
-    if q is None:
-        try:
-            q, _ = solve_equal_weight(JacobiWeight(m, n), t, opts)
-            if cache:
-                cache.store(q)
-        except NoConvergenceError as exc:
-            click.echo(f"no convergence: {exc}", err=True)
-            q = exc.best
-            exit_code = 1
+    try:
+        q = solve_cached(m, n, t, opts, cache)
+    except NoConvergenceError as exc:
+        click.echo(f"no convergence: {exc}", err=True)
+        q = exc.best
+        exit_code = 1
     if output:
         atomic_write_text(output, dump_json(q.to_json_dict()))
     click.echo(
@@ -138,7 +145,7 @@ def quadrature(m, n, t, output, tol_quad, max_k, max_iter, seed, cache_dir):
 
 
 def _design_csv(design: Design) -> str:
-    lines = [",".join(format(float(v), ".17g") for v in row) for row in design.points]
+    lines = [",".join(row) for row in encode_floats("points", design.points, exact=False)["points"]]
     return "\n".join(lines) + "\n"
 
 
@@ -150,10 +157,10 @@ def _design_csv(design: Design) -> str:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive)
 @click.option("--tol-design", type=float, default=1e-9, show_default=True, callback=_positive)
-@click.option("--max-k", type=int, default=512, show_default=True, callback=_positive)
-@click.option("--max-iter", type=int, default=300, show_default=True)
+@click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1))
+@click.option("--max-iter", type=int, default=300, show_default=True, callback=_at_least(1))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--phase", type=float, default=0.0, show_default=True, help="Rotation of polygon leaves (radians).")
+@click.option("--phase", type=float, default=0.0, show_default=True, callback=_finite, help="Rotation of polygon leaves (radians).")
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None, help="JSON file mapping ambient dims to [m, n] split overrides.")
 @_cache_dir_option
 def build_cmd(n, t, output, report_out, fmt, tol_quad, tol_design, max_k, max_iter, seed, phase, plan_file, cache_dir):
@@ -257,11 +264,7 @@ def _load_design(path: Path, t: int) -> Design:
 def verify(design_file, degree, tol, method, fmt):
     """Verify the design property of a point file at the given degree."""
     design = _load_design(design_file, degree)
-    reports = []
-    if method in ("monomial", "both"):
-        reports.append(verify_monomials(design, degree, tol))
-    if method in ("gegenbauer", "both") and design.ambient_dim >= 2:
-        reports.append(verify_gegenbauer(design, degree, tol))
+    reports = [r for r in verify_design(design, degree, tol) if method in (r.method, "both")]
     if not reports:
         raise InputError(f"--method gegenbauer needs ambient dimension >= 2, {design_file} has 1")
     if fmt == "json":

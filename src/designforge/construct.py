@@ -15,6 +15,10 @@ splits into (q, q) and ambient 2q+1 into (q, q+1), except ambient 3 which
 splits into (2, 1), i.e. a polygon times {-1, +1} (the quadrature there
 needs O(t^2) nodes, so the three-dimensional sphere costs O(t^3) points).
 `a_sequence` gives the resulting cardinality growth exponents.
+
+`build` walks the plan bottom-up along one path for leaves and products
+alike: make the node's design, certify it with `verify.verify_design`, and
+record the worst residual of its certificates in the node's report.
 """
 from __future__ import annotations
 
@@ -25,9 +29,9 @@ from functools import cache
 import numpy as np
 
 from . import verify as _verify
-from .cache import recertified
+from .cache import InMemoryQuadratureCache
 from .moments import JacobiWeight
-from .quadrature import Quadrature, SolverOptions, certify, solve_equal_weight
+from .quadrature import Quadrature, SolverOptions, decode_floats, encode_floats, solve_equal_weight
 
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _NORM_TOL = 1e-12
@@ -58,7 +62,7 @@ class Design:
             )
         norms = np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1))
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > _NORM_TOL:
+        if not worst <= _NORM_TOL:  # also true when a coordinate is NaN or infinite
             raise ValueError(f"points must have unit norm within {_NORM_TOL:g}; worst |~1| = {worst:.3e}")
         self.points = pts
 
@@ -67,25 +71,19 @@ class Design:
         return int(self.points.shape[0])
 
     def to_json_dict(self) -> dict:
-        rows = [[float(v) for v in row] for row in self.points]
         return {
             "ambient_dim": self.ambient_dim,
             "degree": self.degree,
             "count": self.count,
-            "points": [[format(v, ".17g") for v in row] for row in rows],
-            "points_hex": [[v.hex() for v in row] for row in rows],
+            **encode_floats("points", self.points),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
-        if "points_hex" in data:
-            pts = [[float.fromhex(v) for v in row] for row in data["points_hex"]]
-        else:
-            pts = [[float(v) for v in row] for row in data["points"]]
         design = cls(
             ambient_dim=int(data["ambient_dim"]),
             degree=int(data["degree"]),
-            points=np.array(pts, dtype=np.float64),
+            points=decode_floats(data, "points"),
         )
         if design.count != int(data["count"]):
             raise ValueError(f"point count {design.count} does not match recorded count={data['count']}")
@@ -319,24 +317,6 @@ class BuildReport:
         }
 
 
-class InMemoryQuadratureCache:
-    """Session-local quadrature store keyed by (m, n, degree, tol exponent)."""
-
-    def __init__(self):
-        self._store: dict[tuple, Quadrature] = {}
-
-    @staticmethod
-    def _key(m: int, n: int, t: int, tol: float) -> tuple:
-        return m, n, t, round(math.log10(tol))
-
-    def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
-        return recertified(self._store.get(self._key(m, n, t, tol)), tol)
-
-    def store(self, q: Quadrature) -> None:
-        if q.certified:
-            self._store[self._key(q.weight.m, q.weight.n, q.degree, q.tolerance)] = q
-
-
 def solve_cached(
     m: int, n: int, t: int, opts: SolverOptions, cache_obj=None
 ) -> Quadrature:
@@ -351,28 +331,6 @@ def solve_cached(
     return q
 
 
-def _verify_node(design: Design, t: int, tol: float) -> tuple[str, float, bool]:
-    """Run the applicable verifier(s) on a node and pool the results.
-
-    Monomial verification is authoritative up to ambient dimension 6; the
-    pairwise-polynomial check runs above it, and below it on nodes of at most
-    20 000 points, and both must agree to pass.  The pairwise check is no
-    longer quadratic in N, but it builds its own extended-precision moment
-    table, so lifting the cutoff would add a second pass as costly as the
-    monomial one at the largest nodes (the 451 584-point S^5 t=7 root) while
-    the monomial check already certifies them.
-    """
-    methods = []
-    if design.ambient_dim <= 6:
-        methods.append(_verify.verify_monomials(design, t, tol))
-    if design.ambient_dim >= 3 and (design.ambient_dim > 6 or design.count <= 20000):
-        methods.append(_verify.verify_gegenbauer(design, t, tol))
-    tag = "+".join(r.method for r in methods)
-    residual = max(r.max_abs_residual for r in methods)
-    passed = all(r.passed for r in methods)
-    return tag, residual, passed
-
-
 def build(
     bp: BuildPlan,
     t: int | None = None,
@@ -383,11 +341,12 @@ def build(
 ) -> tuple[Design, BuildReport]:
     """Execute a build plan bottom-up and certify every node.
 
-    Leaf designs are exact by construction but still verified; each product
-    node solves (or fetches from cache) its equal-weight quadrature and is
-    re-verified.  Raises BuildError naming the offending node if any
-    verification exceeds design_tol, and propagates NoConvergenceError from
-    the quadrature solver.
+    A leaf is exact by construction; a product node first solves (or fetches
+    from cache) its equal-weight quadrature.  Either way the node's design
+    then goes through `verify.verify_design`, which reads the monomial and,
+    from ambient 2 up, the pairwise certificate off one moment table.  Raises
+    BuildError naming the offending node if any certificate exceeds
+    design_tol, and propagates NoConvergenceError from the quadrature solver.
     """
     t = bp.degree if t is None else min(t, bp.degree)
     solver_opts = solver_opts or SolverOptions()
@@ -395,55 +354,36 @@ def build(
         cache_obj = InMemoryQuadratureCache()
 
     def execute(node: PlanNode, path: str) -> tuple[Design, BuildNodeReport]:
+        fields = {}
         if node.kind == "s0":
             design = base_s0(t)
-            tag, residual, ok = _verify_node(design, t, design_tol)
         elif node.kind == "s1":
             design = base_s1(t, phase=phase)
-            tag, residual, ok = _verify_node(design, t, design_tol)
         else:
             X, left_report = execute(node.left, path + "L")
             Y, right_report = execute(node.right, path + "R")
             m, n = node.split
             quad = solve_cached(m, n, t, solver_opts, cache_obj)
             design = product(X, Y, quad)
-            tag, residual, ok = _verify_node(design, t, design_tol)
-            report = BuildNodeReport(
-                path=path,
-                ambient_dim=node.ambient_dim,
-                kind="product",
-                cardinality=design.count,
-                verify_method=tag,
-                verify_residual=residual,
-                m=m,
-                n=n,
-                K=quad.K,
-                M=X.count,
-                N=Y.count,
-                quad_residual=quad.max_abs_residual,
-                children=[left_report, right_report],
+            fields = dict(m=m, n=n, K=quad.K, M=X.count, N=Y.count, quad_residual=quad.max_abs_residual,
+                          children=[left_report, right_report])
+        checks = _verify.verify_design(design, t, design_tol)
+        residual = max(r.max_abs_residual for r in checks)
+        if not all(r.passed for r in checks):
+            raise BuildError(
+                f"verification failed at node {path or 'root'} "
+                f"(S^{node.ambient_dim - 1}, residual {residual:.3e} > {design_tol:g})",
+                node_path=path or "root",
             )
-            if not ok:
-                raise BuildError(
-                    f"verification failed at node {path or 'root'} "
-                    f"(S^{node.ambient_dim - 1}, residual {residual:.3e} > {design_tol:g})",
-                    node_path=path or "root",
-                )
-            return design, report
-
         report = BuildNodeReport(
             path=path,
             ambient_dim=node.ambient_dim,
             kind=node.kind,
             cardinality=design.count,
-            verify_method=tag,
+            verify_method="+".join(r.method for r in checks),
             verify_residual=residual,
+            **fields,
         )
-        if not ok:
-            raise BuildError(
-                f"verification failed at leaf {path or 'root'} (residual {residual:.3e})",
-                node_path=path or "root",
-            )
         return design, report
 
     design, root_report = execute(bp.root, "")

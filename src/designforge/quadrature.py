@@ -42,6 +42,29 @@ STALL_GAIN = 0.01
 STALL_WINDOW = 30
 
 
+def _each(fn, values: list) -> list:
+    if values and isinstance(values[0], list):
+        return [_each(fn, v) for v in values]
+    return list(map(fn, values))
+
+
+def encode_floats(field: str, values, exact: bool = True) -> dict:
+    """`values` as float64 in 17g text under `field` (round-trips a double) and,
+    if exact, in hex under field + "_hex"; both lists nest like the array."""
+    floats = np.asarray(values).astype(np.float64).tolist()
+    out = {field: _each("{:.17g}".format, floats)}
+    if exact:
+        out[field + "_hex"] = _each(float.hex, floats)
+    return out
+
+
+def decode_floats(data: dict, field: str) -> np.ndarray:
+    """The float64 array `encode_floats` wrote; the hex is read when present."""
+    if field + "_hex" in data:
+        return np.array(_each(float.fromhex, data[field + "_hex"]), dtype=np.float64)
+    return np.array(_each(float, data[field]), dtype=np.float64)
+
+
 @dataclass
 class SolverOptions:
     tolerance: float = 1e-12
@@ -50,8 +73,10 @@ class SolverOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.max_K < 1:
             raise ValueError("max_K must be >= 1")
 
@@ -92,22 +117,17 @@ class Quadrature:
             "n": self.weight.n,
             "degree": self.degree,
             "K": self.K,
-            "nodes": [format(float(x), ".17g") for x in self.nodes],
-            "nodes_hex": [float(x).hex() for x in self.nodes],
+            **encode_floats("nodes", self.nodes),
             "max_abs_residual": float(self.max_abs_residual),
             "certified": bool(self.certified),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Quadrature":
-        if "nodes_hex" in data:
-            nodes = [float.fromhex(s) for s in data["nodes_hex"]]
-        else:
-            nodes = [float(s) for s in data["nodes"]]
         q = cls(
             weight=JacobiWeight(int(data["m"]), int(data["n"])),
             degree=int(data["degree"]),
-            nodes=np.array(nodes),
+            nodes=decode_floats(data, "nodes"),
         )
         q.certified = bool(data.get("certified", False))
         q.max_abs_residual = float(data.get("max_abs_residual", math.nan))
@@ -128,7 +148,7 @@ class QuadratureReport:
             "K": self.K,
             "iterations": self.iterations,
             "max_abs_residual": float(self.max_abs_residual),
-            "residuals": [format(float(r), ".17g") for r in self.residuals],
+            **encode_floats("residuals", self.residuals, exact=False),
         }
 
 
@@ -143,11 +163,6 @@ class NoConvergenceError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.report = report
-
-
-def gauss_jacobi_init(w: JacobiWeight, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian nodes and (positive) weights for w; see jacobi.gauss_rule."""
-    return gauss_rule(w, num_nodes)
 
 
 def _raw_residuals(nodes: np.ndarray, w: JacobiWeight, degree: int, dtype=np.float64) -> np.ndarray:

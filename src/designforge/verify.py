@@ -18,6 +18,10 @@ numbers of memory.
   comparable across degrees.  By the addition theorem each sum is a sum of
   squares, so it vanishes exactly when the point set averages all degree-k
   harmonics to zero (Delsarte, Goethals and Seidel, 1977).
+* `verify_design` builds the table once and returns the monomial report,
+  then the pairwise one when d >= 2; `build` certifies every node with it.
+  The pairwise residual is quadratic in the deviations, so on its own it
+  passes averages that are off by about the square root of its tolerance.
 
 The pairwise sum is read off the table instead of the N^2 inner products.
 For unit vectors (x.y)^j = sum_{|alpha|=j} (j!/alpha!) x^alpha y^alpha, so
@@ -100,11 +104,10 @@ def _moment_deviations(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]
     return out
 
 
-def verify_monomials(design, t: int, tol: float) -> VerificationReport:
-    """Max deviation of monomial averages from exact moments, degree <= t."""
+def _monomial_report(deviations, t: int, tol: float) -> VerificationReport:
     worst = -1.0
     worst_alpha = None
-    for alpha, delta in _moment_deviations(design, t):
+    for alpha, delta in deviations:
         residual = float(abs(delta))
         if residual > worst:
             worst = residual
@@ -117,6 +120,11 @@ def verify_monomials(design, t: int, tol: float) -> VerificationReport:
         tolerance=tol,
         worst_monomial=worst_alpha,
     )
+
+
+def verify_monomials(design, t: int, tol: float) -> VerificationReport:
+    """Max deviation of monomial averages from exact moments, degree <= t."""
+    return _monomial_report(_moment_deviations(design, t), t, tol)
 
 
 def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
@@ -148,19 +156,11 @@ def _multinomial(alpha: MultiIndex) -> int:
     return out
 
 
-def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
-    """Pairwise zonal-polynomial sums, normalized by N^2 and the value at 1.
-
-    Computed from squared moment deviations (see the module docstring) in
-    O(N * C(d+t, t)) time instead of O(N^2 * t).
-    """
-    if design.ambient_dim < 2:
-        raise ValueError("pairwise criterion needs ambient dimension >= 2; use verify_monomials")
-    deviations = _moment_deviations(design, t)
+def _gegenbauer_report(deviations, dim: int, t: int, tol: float) -> VerificationReport:
     squares = np.zeros(t + 1, dtype=np.longdouble)
     for alpha, delta in deviations:
         squares[alpha.degree] += np.longdouble(_multinomial(alpha)) * delta * delta
-    sums = _zonal_coefficients(design.ambient_dim, t) @ squares
+    sums = _zonal_coefficients(dim, t) @ squares
 
     worst = -1.0
     worst_k = None
@@ -179,3 +179,23 @@ def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
         tolerance=tol,
         worst_degree=worst_k,
     )
+
+
+def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
+    """Pairwise zonal-polynomial sums, normalized by N^2 and the value at 1.
+
+    Computed from squared moment deviations (see the module docstring) in
+    O(N * C(d+t, t)) time instead of O(N^2 * t).
+    """
+    if design.ambient_dim < 2:
+        raise ValueError("pairwise criterion needs ambient dimension >= 2; use verify_monomials")
+    return _gegenbauer_report(_moment_deviations(design, t), design.ambient_dim, t, tol)
+
+
+def verify_design(design, t: int, tol: float) -> list[VerificationReport]:
+    """[monomial report, pairwise report if ambient >= 2], read from one table."""
+    deviations = _moment_deviations(design, t)
+    reports = [_monomial_report(deviations, t, tol)]
+    if design.ambient_dim >= 2:
+        reports.append(_gegenbauer_report(deviations, design.ambient_dim, t, tol))
+    return reports

@@ -185,10 +185,10 @@ def _check_corruption_detection(all_builds):
 
 
 def _check_quadrature_invariants():
-    from designforge import gauss_jacobi_init
+    from designforge.jacobi import gauss_rule
 
     w = JacobiWeight(3, 2)
-    nodes, weights = gauss_jacobi_init(w, 5)
+    nodes, weights = gauss_rule(w, 5)
     assert np.all(weights > 0)
     assert float(weights.sum()) == pytest.approx(w.mass, rel=1e-12)
     q, _ = solve_equal_weight(w, 4)

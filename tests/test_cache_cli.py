@@ -96,6 +96,13 @@ class TestQuadratureCache:
         cache.store(q)
         assert cache.lookup(2, 2, 2, 1e-12) is None
 
+    def test_memory_and_disk_share_one_key(self, tmp_path):
+        q, _ = solve_equal_weight(JacobiWeight(2, 1), 2)
+        disk, memory = QuadratureCache(tmp_path), InMemoryQuadratureCache()
+        disk.store(q)
+        memory.store(q)
+        assert list(memory._store) == [p.stem for p in disk.quad_dir.glob("*.json")]
+
     def test_build_index(self, tmp_path):
         cache = QuadratureCache(tmp_path)
         assert cache.achieved(2, 3) is None
@@ -236,6 +243,24 @@ class TestQuadratureCommand:
 
     def test_factor_dim_zero_exits_2(self, runner):
         assert_input_error(runner.invoke(main, ["quadrature", "0", "2", "3"]), "M must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["build", "2", "3", "--tol-quad", "inf"], "--tol-quad must be a finite number > 0"),
+        (["build", "2", "3", "--tol-quad", "nan"], "--tol-quad must be a finite number > 0"),
+        (["quadrature", "2", "1", "3", "--tol-quad", "inf"], "--tol-quad must be a finite number > 0"),
+        (["build", "2", "3", "--tol-design", "-1"], "--tol-design must be a finite number > 0"),
+        (["build", "2", "3", "--max-iter", "-1"], "--max-iter must be >= 1"),
+        (["quadrature", "2", "1", "3", "--max-k", "0"], "--max-k must be >= 1"),
+        (["build", "2", "3", "--phase", "inf"], "--phase must be a finite number"),
+    ],
+    ids=["build-tol-quad-inf", "build-tol-quad-nan", "quadrature-tol-quad-inf", "build-tol-design-negative",
+         "build-max-iter-negative", "quadrature-max-k-zero", "build-phase-inf"],
+)
+def test_bad_solver_or_tolerance_option_exits_2(runner, args, message):
+    assert_input_error(runner.invoke(main, args), message)
 
 
 class TestBuildCommand:
@@ -431,6 +456,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert result.exit_code == 2
         assert "not UTF-8" in result.output
+
+    def test_nan_points_are_parse_error(self, runner, tmp_path):
+        # NaN compares false with every bound, so such a file used to pass as a design
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nan,nan\nnan,nan\n")
+        assert_input_error(runner.invoke(main, ["verify", str(bad), "-t", "3"]), "unit norm")
 
     def test_malformed_csv_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

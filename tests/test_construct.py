@@ -238,6 +238,8 @@ class TestDesignType:
     def test_rejects_off_sphere_points(self):
         with pytest.raises(ValueError):
             Design(ambient_dim=2, degree=1, points=np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError):  # NaN fails every comparison, so test it on its own
+            Design(ambient_dim=2, degree=1, points=np.array([[np.nan, 0.0], [1.0, 0.0]]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,12 @@ from designforge import (
     Quadrature,
     SolverOptions,
     certify,
-    gauss_jacobi_init,
     jacobi_moment_ratio,
     power_moment,
     residual_vector,
     solve_equal_weight,
 )
-from designforge.jacobi import _coefficients, _to_dtype, orthonormal_values, recurrence_coefficients
+from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 from designforge.quadrature import _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt
 
 mp.mp.dps = 40
@@ -25,12 +24,12 @@ mp.mp.dps = 40
 
 class TestGaussJacobiInit:
     def test_midpoint_rule_for_flat_weight(self):
-        nodes, weights = gauss_jacobi_init(JacobiWeight(2, 2), 1)
+        nodes, weights = gauss_rule(JacobiWeight(2, 2), 1)
         assert nodes == pytest.approx([0.0], abs=1e-15)
         assert weights == pytest.approx([2.0], abs=1e-14)
 
     def test_two_point_flat_weight(self):
-        nodes, weights = gauss_jacobi_init(JacobiWeight(2, 2), 2)
+        nodes, weights = gauss_rule(JacobiWeight(2, 2), 2)
         root = 1 / math.sqrt(3)
         assert nodes == pytest.approx([-root, root], abs=1e-14)
         assert weights == pytest.approx([1.0, 1.0], abs=1e-13)
@@ -39,14 +38,14 @@ class TestGaussJacobiInit:
             assert float(weights @ nodes**d) == pytest.approx(integral, abs=1e-13)
 
     def test_single_node_is_weight_mean(self):
-        nodes, _ = gauss_jacobi_init(JacobiWeight(2, 1), 1)
+        nodes, _ = gauss_rule(JacobiWeight(2, 1), 1)
         assert nodes == pytest.approx([-1 / 3], abs=1e-15)
 
     @pytest.mark.parametrize("m,n", [(2, 1), (1, 1), (3, 2), (4, 4), (5, 3)])
     @pytest.mark.parametrize("count", [1, 2, 4, 7])
     def test_positive_weights_and_moment_exactness(self, m, n, count):
         w = JacobiWeight(m, n)
-        nodes, weights = gauss_jacobi_init(w, count)
+        nodes, weights = gauss_rule(w, count)
         assert np.all(weights > 0)
         assert float(weights.sum()) == pytest.approx(w.mass, rel=1e-12)
         for d in range(2 * count):
@@ -55,7 +54,7 @@ class TestGaussJacobiInit:
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
-            gauss_jacobi_init(JacobiWeight(2, 2), 0)
+            gauss_rule(JacobiWeight(2, 2), 0)
 
 
 class TestOrthonormalPolynomials:
@@ -239,6 +238,16 @@ class TestSolveEqualWeight:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             solve_equal_weight(JacobiWeight(2, 2), -1)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tolerance": math.inf}, {"tolerance": math.nan}, {"tolerance": 0.0}, {"max_iterations": 0}, {"max_K": 0}],
+    )
+    def test_rejects_unusable_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverOptions(**kwargs)
 
 
 class TestQuadratureType:

@@ -8,10 +8,11 @@ from designforge import (
     MultiIndex,
     base_s1,
     sphere_monomial_moment,
+    verify_design,
     verify_gegenbauer,
     verify_monomials,
 )
-from designforge import construct
+from designforge import construct, verify
 from oracles import gegenbauer_block_sum, mc_moment_oracle
 
 
@@ -92,17 +93,22 @@ class TestVerifyGegenbauer:
 class TestPairwiseAgainstBlockSum:
     """The moment-deviation form against the direct O(N^2) pairwise sum."""
 
-    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("dim", range(1, 9))
     def test_random_point_sets_agree(self, dim):
+        # verify_design, reading one table, matches the two verifiers run apart
         rng = np.random.default_rng(100 + dim)
         for t in range(9):
             pts = rng.standard_normal((20 + 3 * t, dim))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             d = Design(ambient_dim=dim, degree=t, points=pts)
-            fast = verify_gegenbauer(d, t, 1e-9)
-            slow = gegenbauer_block_sum(d, t, 1e-9)
-            assert fast.max_abs_residual == pytest.approx(slow.max_abs_residual, rel=1e-9, abs=0)
-            assert fast.worst_degree == slow.worst_degree
+            separate = [verify_monomials(d, t, 1e-9)]
+            if dim >= 2:
+                fast = verify_gegenbauer(d, t, 1e-9)
+                slow = gegenbauer_block_sum(d, t, 1e-9)
+                assert fast.max_abs_residual == pytest.approx(slow.max_abs_residual, rel=1e-9, abs=0)
+                assert fast.worst_degree == slow.worst_degree
+                separate.append(fast)
+            assert verify_design(d, t, 1e-9) == separate
 
     @pytest.mark.parametrize("t", [20, 32, 40])
     def test_large_polygon_passes_t_fails_t_plus_one(self, t):
@@ -115,10 +121,10 @@ class TestPairwiseAgainstBlockSum:
         assert report.worst_degree == t + 1
 
     def test_ambient_seven_corruption_caught(self, built):
-        # above ambient 6 the pairwise check is the only verifier a build runs;
-        # its residual is quadratic in the shift, hence the larger move
+        # a build reads both certificates at every ambient >= 2; the pairwise
+        # residual is quadratic in the shift, hence the larger move
         design, report = built(6, 3)
-        assert report.root.verify_method == "gegenbauer"
+        assert report.root.verify_method == "monomial+gegenbauer"
         bad = corrupted(design, delta=0.1)
         assert not verify_gegenbauer(bad, 3, 1e-9).passed
         assert not gegenbauer_block_sum(bad, 3, 1e-9).passed
@@ -134,6 +140,41 @@ class TestPairwiseAgainstBlockSum:
         with pytest.raises(BuildError) as excinfo:
             construct.build(construct.plan(6, 3), cache_obj=quad_cache)
         assert excinfo.value.node_path == "root"
+
+    def test_build_rejects_ambient_seven_root_moved_by_default_shift(self, monkeypatch, quad_cache):
+        # the pairwise residual of a 1e-3 move is far below 1e-9; the
+        # monomial certificate, read at every node, catches it
+        real_product = construct.product
+
+        def corrupting_product(X, Y, quad):
+            design = real_product(X, Y, quad)
+            return corrupted(design) if design.ambient_dim == 7 else design
+
+        monkeypatch.setattr(construct, "product", corrupting_product)
+        with pytest.raises(BuildError) as excinfo:
+            construct.build(construct.plan(6, 3), cache_obj=quad_cache)
+        assert excinfo.value.node_path == "root"
+
+
+class TestOneTablePerNode:
+    @pytest.mark.parametrize("n,t", [(1, 4), (2, 3), (4, 6), (6, 3)])
+    def test_build_makes_one_deviation_table_per_node(self, monkeypatch, quad_cache, n, t):
+        calls = []
+        real = verify._moment_deviations
+
+        def counting(design, degree):
+            calls.append(design.ambient_dim)
+            return real(design, degree)
+
+        def tree_dims(node):
+            children = [] if node.kind != "product" else [node.left, node.right]
+            return [d for c in children for d in tree_dims(c)] + [node.ambient_dim]
+
+        monkeypatch.setattr(verify, "_moment_deviations", counting)
+        bp = construct.plan(n, t)
+        _, report = construct.build(bp, cache_obj=quad_cache)
+        assert calls == tree_dims(bp.root)
+        assert report.root.verify_method == "monomial+gegenbauer"
 
 
 class TestAgreementAndInvariance:
