@@ -120,26 +120,27 @@ class QuadratureCache:
     def _builds_path(self) -> Path:
         return self.root / "builds.json"
 
+    def _read_builds(self) -> dict[str, int]:
+        """The size index; a missing file reads as empty, a corrupt one warns and reads as empty."""
+        if not self._builds_path.exists():
+            return {}
+        try:
+            data = json.loads(self._builds_path.read_text())
+        except ValueError:
+            data = None
+        if not isinstance(data, dict) or any(type(v) is not int for v in data.values()):
+            warnings.warn(f"ignoring corrupt build index {self._builds_path}")
+            return {}
+        return data
+
     def record_build(self, n: int, t: int, cardinality: int) -> None:
         # an exclusive lock on a sidecar file spans the read and the write, so
         # concurrent recorders (threads or processes) never drop each other's entries
         with open(self.root / "builds.json.lock", "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            data = {}
-            if self._builds_path.exists():
-                try:
-                    data = json.loads(self._builds_path.read_text())
-                except ValueError:
-                    data = {}
+            data = self._read_builds()
             data[f"n{n}_t{t}"] = cardinality
             atomic_write_text(self._builds_path, dump_json(dict(sorted(data.items()))))
 
     def achieved(self, n: int, t: int) -> int | None:
-        if not self._builds_path.exists():
-            return None
-        try:
-            data = json.loads(self._builds_path.read_text())
-        except ValueError:
-            return None
-        value = data.get(f"n{n}_t{t}")
-        return int(value) if value is not None else None
+        return self._read_builds().get(f"n{n}_t{t}")

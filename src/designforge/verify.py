@@ -7,9 +7,21 @@ Both criteria read one table.  For every monomial x^alpha of total degree
 
 of the point average from the exact rational sphere moment mu_alpha.
 Averages are accumulated in extended precision with pairwise reduction, so
-each deviation is exact to well under one double ulp.  The table costs
-O(N * C(d+t, t)) time for N points in R^d, and about d*t*N extended-precision
-numbers of memory.
+each deviation is exact to well under one double ulp.
+
+The table is filled by a depth-first walk over the coordinates of N points in
+R^d.  The product x_0^a_0 ... x_c^a_c is formed once and shared by every
+monomial with that prefix, so each monomial costs one elementwise multiply
+and one sum over N extended-precision numbers: O(N * C(d+t, t)) time.  The
+products are formed left to right, skipping zero exponents, exactly as a
+monomial-at-a-time loop would, so the deviations do not depend on the walk.
+Memory is about ((d-2)*t + d + 1)*N extended-precision numbers: stored
+powers x_c^e (e <= t) for c >= 2, one product buffer per level, and two
+buffers in which the powers of x_0 and x_1 are formed as the walk reaches
+them.  The walk is a module-level function: a nested function that calls
+itself is a reference cycle through its closure, which would keep the
+buffers alive after the table is built until the cyclic garbage collector
+ran.
 
 * `verify_monomials` reports the largest |delta_alpha|.
 * `verify_gegenbauer` reports, for k = 1..t, the pairwise sum of the ambient
@@ -78,30 +90,81 @@ def _fraction_to_longdouble(f) -> np.longdouble:
     return np.longdouble(f.numerator) / np.longdouble(f.denominator)
 
 
+# Powers of the first coordinates are formed by a running product as the walk
+# reaches them instead of being stored: x_0 is reached once and x_1 once per
+# exponent of x_0, so streaming them costs O(t^2) products and saves 2t columns.
+_STREAMED = 2
+
+
+def _powers(column, top: int, stored, buffer):
+    """None for x^0, then x^e for e = 1..top.
+
+    Read from `stored` (stored[e-1] = x^e), or formed in `buffer` by the same
+    running product x^e = x^(e-1) * x that fills the stored table.
+    """
+    yield None
+    if stored is not None:
+        yield from stored[:top]
+        return
+    for e in range(1, top + 1):
+        if e == 1:
+            np.copyto(buffer, column)
+        else:
+            np.multiply(buffer, column, out=buffer)
+        yield buffer
+
+
+def _walk(pts, tables, scratch, c: int, budget: int, prefix, head: tuple, sums: dict) -> None:
+    """Sum x^alpha over the points for every alpha that extends `head`, the
+    exponents of coordinates < c, by at most `budget` more degrees.
+
+    `prefix` is the product, left to right, of the factors x_b^alpha_b with
+    b < c and alpha_b > 0, or None when there are none.  Level c writes its
+    products into scratch[c], which deeper levels never touch.
+    """
+    last = c == pts.shape[1] - 1
+    product, running = scratch[c]
+    for e, power in enumerate(_powers(pts[:, c], budget, tables[c], running)):
+        if power is None:
+            value = prefix
+        elif prefix is None:
+            value = power
+        else:
+            value = np.multiply(prefix, power, out=product)
+        exponents = head + (e,)
+        if not last:
+            _walk(pts, tables, scratch, c + 1, budget - e, value, exponents, sums)
+        elif value is None:  # x^0: a sum of N ones, which is exact
+            sums[exponents] = np.longdouble(pts.shape[0])
+        else:
+            sums[exponents] = value.sum()
+
+
 def _moment_deviations(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]:
     """(alpha, mean of x^alpha over the points minus its sphere moment), |alpha| <= t."""
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
     pts = np.asarray(design.points, dtype=np.longdouble)
     count, dim = pts.shape
-    # x_c^e for every coordinate and exponent, so each monomial is a few
-    # elementwise products instead of a fresh power computation; every
-    # coordinate shares one array of ones for e = 0
-    ones = np.ones(count, dtype=np.longdouble)
-    powers = [[ones] for _ in range(dim)]
-    for c in range(dim):
-        for e in range(1, t + 1):
-            powers[c].append(powers[c][e - 1] * pts[:, c])
-
-    out = []
-    for alpha in iter_multi_indices(dim, t):
-        values = powers[0][alpha[0]].copy()
-        for c in range(1, dim):
-            if alpha[c]:
-                values *= powers[c][alpha[c]]
-        average = values.sum() / count
-        out.append((alpha, average - _fraction_to_longdouble(sphere_monomial_moment(dim, alpha))))
-    return out
+    tables = [None] * dim
+    for c in range(_STREAMED, dim):
+        column = pts[:, c]
+        tables[c] = []
+        for _ in range(t):
+            tables[c].append(tables[c][-1] * column if tables[c] else column.copy())
+    scratch = [
+        (
+            np.empty(count, dtype=np.longdouble) if c > 0 else None,
+            np.empty(count, dtype=np.longdouble) if c < _STREAMED else None,
+        )
+        for c in range(dim)
+    ]
+    sums = {}
+    _walk(pts, tables, scratch, 0, t, None, (), sums)
+    return [
+        (alpha, sums[alpha.exponents] / count - _fraction_to_longdouble(sphere_monomial_moment(dim, alpha)))
+        for alpha in iter_multi_indices(dim, t)
+    ]
 
 
 def _monomial_report(deviations, t: int, tol: float) -> VerificationReport:

@@ -5,6 +5,10 @@
   zonal polynomials over them by their three-term recurrence, in float64.
   It shares no code with `designforge.verify`, so it is the small-N oracle
   for `verify_gegenbauer`.
+* `moment_deviations_direct` is the per-monomial loop the verifier's table
+  walk replaced: each monomial copies x_0^a_0 and multiplies in every other
+  nonzero power, left to right.  The walk forms the same products, so the
+  two must agree bit for bit.
 * `mc_moment_oracle` is deliberately dumb (normalized Gaussian sampling) and
   exists to cross-check the closed-form moments, not to certify designs.
 """
@@ -14,7 +18,7 @@ import math
 
 import numpy as np
 
-from designforge import MultiIndex, VerificationReport
+from designforge import MultiIndex, VerificationReport, iter_multi_indices, sphere_monomial_moment
 
 
 def _zonal_value_at_one(k: int, dim: int) -> float:
@@ -69,6 +73,28 @@ def gegenbauer_block_sum(design, t: int, tol: float) -> VerificationReport:
         tolerance=tol,
         worst_degree=worst_k,
     )
+
+
+def moment_deviations_direct(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]:
+    """(alpha, mean of x^alpha minus its sphere moment), one monomial at a time."""
+    pts = np.asarray(design.points, dtype=np.longdouble)
+    count, dim = pts.shape
+    ones = np.ones(count, dtype=np.longdouble)
+    powers = [[ones] for _ in range(dim)]
+    for c in range(dim):
+        for e in range(1, t + 1):
+            powers[c].append(powers[c][e - 1] * pts[:, c])
+
+    out = []
+    for alpha in iter_multi_indices(dim, t):
+        values = powers[0][alpha[0]].copy()
+        for c in range(1, dim):
+            if alpha[c]:
+                values *= powers[c][alpha[c]]
+        mu = sphere_monomial_moment(dim, alpha)
+        average = values.sum() / count
+        out.append((alpha, average - np.longdouble(mu.numerator) / np.longdouble(mu.denominator)))
+    return out
 
 
 def mc_moment_oracle(

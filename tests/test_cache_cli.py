@@ -205,6 +205,31 @@ class TestBoundsCommand:
         assert data["rows"][1]["achieved"] == 12
 
 
+@pytest.mark.parametrize("content", ["[]", '{"n2_t1": "x"}'])
+class TestCorruptBuildIndex:
+    """Valid JSON that is not an object of integers is a corrupt index."""
+
+    def test_bounds_warns_and_shows_no_size(self, runner, tmp_path, content):
+        (tmp_path / "builds.json").write_text(content)
+        with pytest.warns(UserWarning, match="corrupt build index"):
+            result = runner.invoke(main, ["bounds", "2", "2", "--format", "json", "--cache-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None, None]
+
+    def test_build_writes_outputs_and_a_fresh_index(self, runner, tmp_path, content):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "builds.json").write_text(content)
+        out, report = tmp_path / "d.json", tmp_path / "r.json"
+        args = ["build", "2", "1", "--cache-dir", str(cache_dir), "-o", str(out), "--report-out", str(report)]
+        with pytest.warns(UserWarning, match="corrupt build index"):
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["degree"] == 1
+        total = json.loads(report.read_text())["total_points"]
+        assert json.loads((cache_dir / "builds.json").read_text()) == {"n2_t1": total}
+
+
 class TestQuadratureCommand:
     def test_writes_sorted_17_digit_nodes(self, runner, tmp_path):
         out = tmp_path / "q.json"

@@ -1,4 +1,7 @@
 """Both verification criteria, their agreement, and the Monte Carlo oracle."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from designforge import (
     BuildError,
     Design,
     MultiIndex,
+    base_s0,
     base_s1,
     sphere_monomial_moment,
     verify_design,
@@ -13,7 +17,7 @@ from designforge import (
     verify_monomials,
 )
 from designforge import construct, verify
-from oracles import gegenbauer_block_sum, mc_moment_oracle
+from oracles import gegenbauer_block_sum, mc_moment_oracle, moment_deviations_direct
 
 
 def random_rotation(dim, seed):
@@ -175,6 +179,53 @@ class TestOneTablePerNode:
         _, report = construct.build(bp, cache_obj=quad_cache)
         assert calls == tree_dims(bp.root)
         assert report.root.verify_method == "monomial+gegenbauer"
+
+
+def random_unit_design(count, dim, t, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((count, dim))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return Design(ambient_dim=dim, degree=t, points=pts)
+
+
+class TestDeviationTable:
+    """The prefix-product walk against the per-monomial loop it replaced."""
+
+    @staticmethod
+    def assert_bit_identical(design, t):
+        walked = verify._moment_deviations(design, t)
+        direct = moment_deviations_direct(design, t)
+        assert [alpha for alpha, _ in walked] == [alpha for alpha, _ in direct]
+        assert [np.asarray(d).tobytes() for _, d in walked] == [np.asarray(d).tobytes() for _, d in direct]
+
+    @pytest.mark.parametrize("n,t", [(0, 3), (1, 4), (2, 4), (3, 3), (4, 2), (5, 2), (6, 3)])
+    def test_built_designs(self, built, n, t):
+        design = base_s0(t) if n == 0 else built(n, t)[0]
+        assert design.ambient_dim == n + 1
+        for degree in (0, 1, t):
+            self.assert_bit_identical(design, degree)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_random_point_sets(self, dim):
+        for t in range(8):
+            self.assert_bit_identical(random_unit_design(17 + 5 * t, dim, t, seed=200 + 10 * dim + t), t)
+
+    def test_memory_freed_on_return_and_below_power_table(self):
+        # with the cyclic collector off, only reference counting frees the
+        # table; the peak stays under a stored table of every x_c^e, e <= t
+        count, dim, t = 50_000, 6, 7
+        design = random_unit_design(count, dim, t, seed=7)
+        column = count * np.dtype(np.longdouble).itemsize
+        gc.disable()
+        tracemalloc.start()
+        try:
+            verify_design(design, t, 1e-9)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert current < column
+        assert peak < dim * t * column
 
 
 class TestAgreementAndInvariance:
