@@ -1,13 +1,16 @@
-"""Quadrature caches, on disk and in memory, plus an index of achieved build sizes.
+"""Quadrature caches, in memory and on disk, plus an index of achieved build sizes.
 
-Both caches use one key, which buckets the tolerance by its decimal exponent,
-so re-runs at the same tolerance magnitude reuse solves.  A bucket can hold a
-rule certified at a looser tolerance than the one asked for, so every hit is
-re-certified at the requested tolerance and served only if it passes.  Disk
-writes are atomic (write a unique temp file, then rename) and idempotent:
-storing the same key twice leaves one file.  Recording a build holds a file
-lock across its read-modify-write of the size index.  Corrupt entries are
-ignored with a warning and rebuilt.
+There is one lookup path over two stores.  `InMemoryQuadratureCache` holds
+the lookup and store logic; `QuadratureCache` is a subclass that changes only
+where a rule is kept (`_read`/`_write`: a dict entry or a JSON file).  The
+key buckets the tolerance by its decimal exponent, so re-runs at the same
+tolerance magnitude reuse solves.  A bucket can hold a rule certified at a
+looser tolerance than the one asked for, so every hit is re-certified at the
+requested tolerance and served only if it passes; only certified rules are
+stored.  Disk writes are atomic (write a unique temp file, then rename) and
+idempotent: storing the same key twice leaves one file.  Recording a build
+holds a file lock across its read-modify-write of the size index.  Corrupt
+entries are ignored with a warning and rebuilt.
 """
 from __future__ import annotations
 
@@ -47,19 +50,6 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def recertified(q: Quadrature | None, tol: float) -> Quadrature | None:
-    """A fresh copy of a cached rule certified at `tol`, or None if it misses tol.
-
-    The stored `certified` flag and residual are not trusted: they may come
-    from a looser tolerance in the same key bucket, or from an edited file.
-    """
-    if q is None:
-        return None
-    fresh = Quadrature(weight=q.weight, degree=q.degree, nodes=q.nodes)
-    certify(fresh, tol)
-    return fresh if fresh.certified else None
-
-
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -70,49 +60,57 @@ def key(m: int, n: int, t: int, tol: float) -> str:
 
 
 class InMemoryQuadratureCache:
-    """Session-local quadrature store."""
+    """Session-local quadrature store, and the lookup path of both caches."""
+
+    key = staticmethod(key)
 
     def __init__(self):
         self._store: dict[str, Quadrature] = {}
 
+    def _read(self, k: str) -> Quadrature | None:
+        return self._store.get(k)
+
+    def _write(self, k: str, q: Quadrature) -> None:
+        self._store[k] = q
+
     def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
-        return recertified(self._store.get(key(m, n, t, tol)), tol)
+        """A fresh copy of the kept rule certified at `tol`, or None if none passes.
+
+        The kept `certified` flag and residual are not trusted: they may come
+        from a looser tolerance in the same key bucket, or from an edited file.
+        """
+        q = self._read(key(m, n, t, tol))
+        if q is None or (q.weight.m, q.weight.n, q.degree) != (m, n, t):
+            return None
+        fresh = Quadrature(weight=q.weight, degree=q.degree, nodes=q.nodes)
+        certify(fresh, tol)
+        return fresh if fresh.certified else None
 
     def store(self, q: Quadrature) -> None:
         if q.certified:
-            self._store[key(q.weight.m, q.weight.n, q.degree, q.tolerance)] = q
+            self._write(key(q.weight.m, q.weight.n, q.degree, q.tolerance), q)
 
 
-class QuadratureCache:
-    key = staticmethod(key)
+class QuadratureCache(InMemoryQuadratureCache):
+    """Quadratures as <key>.json files under root/quadratures, shared across runs."""
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self.quad_dir = self.root / "quadratures"
         self.quad_dir.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, m: int, n: int, t: int, tol: float) -> Path:
-        return self.quad_dir / (key(m, n, t, tol) + ".json")
-
-    def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
-        path = self._path(m, n, t, tol)
+    def _read(self, k: str) -> Quadrature | None:
+        path = self.quad_dir / (k + ".json")
         if not path.exists():
             return None
         try:
-            data = json.loads(path.read_text())
-            q = Quadrature.from_json_dict(data)
+            return Quadrature.from_json_dict(json.loads(path.read_text()))
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"ignoring corrupt cache entry {path}: {exc}")
             return None
-        if (q.weight.m, q.weight.n, q.degree) != (m, n, t):
-            return None
-        return recertified(q, tol)
 
-    def store(self, q: Quadrature) -> None:
-        if not q.certified:
-            return
-        path = self._path(q.weight.m, q.weight.n, q.degree, q.tolerance)
-        atomic_write_text(path, dump_json(q.to_json_dict()))
+    def _write(self, k: str, q: Quadrature) -> None:
+        atomic_write_text(self.quad_dir / (k + ".json"), dump_json(q.to_json_dict()))
 
     # -- achieved build cardinalities, consumed by the bounds table --------
 

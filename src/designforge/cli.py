@@ -2,10 +2,11 @@
 
 Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge, 2 with a one-line message
-for user-input errors: unreadable input files, invalid build plans, and
-out-of-range dimensions, degrees, tolerances or solver limits.  Output files
-contain no timestamps or environment data, so identical commands with
-identical cache state produce byte-identical files.
+for user-input errors: unreadable input files, output or cache paths that
+cannot be written, invalid build plans, and out-of-range dimensions,
+degrees, tolerances or solver limits; paths are checked before any solve.
+Output files contain no timestamps or environment data, so identical
+commands with identical cache state produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cache import QuadratureCache, atomic_write_text, dump_json
+from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
 from .construct import (
     BuildError,
     Design,
@@ -29,15 +30,6 @@ from .construct import (
 )
 from .quadrature import NoConvergenceError, SolverOptions, encode_floats
 from .verify import verify_design
-
-_cache_dir_option = click.option(
-    "--cache-dir",
-    type=click.Path(file_okay=False, path_type=Path),
-    envvar="DESIGNFORGE_CACHE",
-    default=None,
-    help="Quadrature cache directory (env: DESIGNFORGE_CACHE; flag wins).",
-)
-
 
 class InputError(click.ClickException):
     """A user-input error: one line on stderr and exit code 2."""
@@ -70,8 +62,38 @@ def _finite(ctx, param, value):
     return value
 
 
-def _solver_options(tol_quad, max_k, max_iter, seed) -> SolverOptions:
-    return SolverOptions(tolerance=tol_quad, max_iterations=max_iter, max_K=max_k, seed=seed)
+def _writable(ctx, param, value):
+    if value is not None and not value.parent.is_dir():
+        raise InputError(f"{_name(param)} {value}: {value.parent} is not a directory")
+    return value
+
+
+def _open_cache(cache_dir: Path | None) -> QuadratureCache | None:
+    try:
+        return QuadratureCache(cache_dir) if cache_dir else None
+    except OSError as exc:
+        raise InputError(f"--cache-dir {cache_dir}: {exc.strerror}")
+
+
+_cache_dir_option = click.option(
+    "--cache-dir",
+    type=click.Path(file_okay=False, path_type=Path),
+    envvar="DESIGNFORGE_CACHE",
+    default=None,
+    help="Quadrature cache directory (env: DESIGNFORGE_CACHE; flag wins).",
+)
+
+
+def _solver_flags(command):
+    """--tol-quad, --max-k, --max-iter and --seed, shared by `quadrature` and `build`."""
+    for option in reversed([
+        click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive),
+        click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1)),
+        click.option("--max-iter", type=int, default=300, show_default=True, callback=_at_least(1)),
+        click.option("--seed", type=int, default=0, show_default=True, help="Ignored: the solver is deterministic."),
+    ]):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -87,7 +109,7 @@ def main():
 def bounds(n, t_max, fmt, cache_dir):
     """Print, for t = 1..T_MAX, the size lower bound on S^N, the growth
     exponent, t^exponent, and any cardinality achieved by earlier builds."""
-    cache = QuadratureCache(cache_dir) if cache_dir else None
+    cache = _open_cache(cache_dir)
     exponent = a_sequence(n)
     rows = []
     for t in range(1, t_max + 1):
@@ -118,16 +140,13 @@ def bounds(n, t_max, fmt, cache_dir):
 @click.argument("m", type=int, callback=_at_least(1))
 @click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t", type=int, callback=_at_least(0))
-@click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive)
-@click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1))
-@click.option("--max-iter", type=int, default=300, show_default=True, callback=_at_least(1))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)
+@_solver_flags
 @_cache_dir_option
 def quadrature(m, n, t, output, tol_quad, max_k, max_iter, seed, cache_dir):
     """Solve (or load) an equal-weight rule of degree T for the (M, N) weight."""
-    cache = QuadratureCache(cache_dir) if cache_dir else None
-    opts = _solver_options(tol_quad, max_k, max_iter, seed)
+    cache = _open_cache(cache_dir) or InMemoryQuadratureCache()
+    opts = SolverOptions(tolerance=tol_quad, max_iterations=max_iter, max_K=max_k, seed=seed)
     exit_code = 0
     try:
         q = solve_cached(m, n, t, opts, cache)
@@ -152,26 +171,23 @@ def _design_csv(design: Design) -> str:
 @main.command("build")
 @click.argument("n", type=int)
 @click.argument("t", type=int)
-@click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None)
-@click.option("--report-out", type=click.Path(dir_okay=False, path_type=Path), default=None)
+@click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)
+@click.option("--report-out", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive)
+@_solver_flags
 @click.option("--tol-design", type=float, default=1e-9, show_default=True, callback=_positive)
-@click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1))
-@click.option("--max-iter", type=int, default=300, show_default=True, callback=_at_least(1))
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--phase", type=float, default=0.0, show_default=True, callback=_finite, help="Rotation of polygon leaves (radians).")
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None, help="JSON file mapping ambient dims to [m, n] split overrides.")
 @_cache_dir_option
-def build_cmd(n, t, output, report_out, fmt, tol_quad, tol_design, max_k, max_iter, seed, phase, plan_file, cache_dir):
+def build_cmd(n, t, output, report_out, fmt, tol_quad, max_k, max_iter, seed, tol_design, phase, plan_file, cache_dir):
     """Plan, build, and verify a degree-T design on S^N."""
     overrides = _load_plan(plan_file) if plan_file else None
     try:
         bp = plan(n, t, overrides)
     except ValueError as exc:
         raise InputError(f"invalid plan: {exc}")
-    cache = QuadratureCache(cache_dir) if cache_dir else None
-    opts = _solver_options(tol_quad, max_k, max_iter, seed)
+    cache = _open_cache(cache_dir)
+    opts = SolverOptions(tolerance=tol_quad, max_iterations=max_iter, max_K=max_k, seed=seed)
     try:
         design, report = build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
     except (BuildError, NoConvergenceError) as exc:

@@ -213,8 +213,8 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
 
     The default split sends ambient dimension 2q to (q, q) and 2q+1 to
     (q, q+1), with ambient 3 handled as (2, 1).  `overrides` maps an ambient
-    dimension to a custom (m, n) child pair with m + n = ambient, for
-    experimenting with other trees.
+    dimension >= 3 to a custom (m, n) child pair with m + n = ambient, for
+    experimenting with other trees; ambient 1 and 2 are leaves.
     """
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
@@ -222,6 +222,8 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
         raise ValueError(f"degree must be >= 0, got {t}")
     overrides = overrides or {}
     for dim, (dm, dn) in overrides.items():
+        if dim < 3:
+            raise ValueError(f"ambient {dim} is a leaf and takes no override, got ({dm}, {dn})")
         if dm < 1 or dn < 1 or dm + dn != dim:
             raise ValueError(f"override for ambient {dim} must split into positive dims summing to {dim}, got ({dm}, {dn})")
 
@@ -318,22 +320,19 @@ class BuildReport:
 
 
 def solve_cached(
-    m: int, n: int, t: int, opts: SolverOptions, cache_obj=None
+    m: int, n: int, t: int, opts: SolverOptions, cache_obj: InMemoryQuadratureCache
 ) -> Quadrature:
-    """Solve for an equal-weight rule, consulting a cache first."""
-    if cache_obj is not None:
-        hit = cache_obj.lookup(m, n, t, opts.tolerance)
-        if hit is not None:
-            return hit
+    """Solve for an equal-weight rule, consulting the cache first."""
+    hit = cache_obj.lookup(m, n, t, opts.tolerance)
+    if hit is not None:
+        return hit
     q, _ = solve_equal_weight(JacobiWeight(m, n), t, opts)
-    if cache_obj is not None:
-        cache_obj.store(q)
+    cache_obj.store(q)
     return q
 
 
 def build(
     bp: BuildPlan,
-    t: int | None = None,
     solver_opts: SolverOptions | None = None,
     design_tol: float = 1e-9,
     cache_obj=None,
@@ -348,7 +347,7 @@ def build(
     BuildError naming the offending node if any certificate exceeds
     design_tol, and propagates NoConvergenceError from the quadrature solver.
     """
-    t = bp.degree if t is None else min(t, bp.degree)
+    t = bp.degree
     solver_opts = solver_opts or SolverOptions()
     if cache_obj is None:
         cache_obj = InMemoryQuadratureCache()

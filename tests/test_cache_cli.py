@@ -337,8 +337,9 @@ class TestBuildCommand:
             (b'{"4": [1.5, 2.5]}', "integer pair"),
             (b'{"4": 3}', "integer pair"),
             (b'\xff{"4": [1, 3]}', "not UTF-8"),
+            (b'{"2": [1, 1]}', "ambient 2 is a leaf"),
         ],
-        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8"],
+        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8", "ambient-2"],
     )
     def test_bad_plan_file_exits_2(self, runner, tmp_path, content, message):
         plan_file = tmp_path / "plan.json"
@@ -399,6 +400,32 @@ class TestBuildCommand:
             assert result.exit_code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.json.rep").read_bytes() == (tmp_path / "b.json.rep").read_bytes()
+
+    def test_seed_is_ignored(self, runner, tmp_path):
+        outputs = []
+        for seed in ("0", "9"):
+            design, report = tmp_path / f"d{seed}.json", tmp_path / f"r{seed}.json"
+            args = ["build", "3", "3", "-o", str(design), "--report-out", str(report), "--seed", seed]
+            assert runner.invoke(main, args).exit_code == 0
+            outputs.append((design.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["build", "2", "1", "-o", "missing/d.json"], "--output missing/d.json: missing is not a directory"),
+        (["build", "2", "1", "--report-out", "missing/r.json"], "--report-out missing/r.json: missing is not a directory"),
+        (["quadrature", "2", "1", "1", "-o", "missing/q.json"], "--output missing/q.json: missing is not a directory"),
+        (["build", "2", "1", "--cache-dir", "file/cache"], "--cache-dir file/cache: Not a directory"),
+    ],
+    ids=["build-output", "build-report-out", "quadrature-output", "cache-dir-under-file"],
+)
+def test_unwritable_path_exits_2_before_solving(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr("designforge.construct.solve_equal_weight", None)  # any solve would fail loudly
+    assert_input_error(runner.invoke(main, args), message)
 
 
 class TestVerifyCommand:

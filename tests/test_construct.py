@@ -186,6 +186,8 @@ class TestPlan:
             plan(4, 1, overrides={5: (1, 3)})
         with pytest.raises(ValueError):
             plan(4, 1, overrides={5: (0, 5)})
+        with pytest.raises(ValueError, match="leaf"):  # ambient 2 is a polygon leaf, never split
+            plan(4, 1, overrides={2: (1, 1)})
 
     def test_leaf_only_plan_for_circle(self):
         bp = plan(1, 7)
@@ -227,11 +229,6 @@ class TestBuild:
         with pytest.raises(BuildError) as err:
             build(plan(2, 3), design_tol=1e-22, cache_obj=quad_cache)
         assert err.value.node_path
-
-    def test_build_degree_clamps_to_plan(self, quad_cache):
-        design, _ = build(plan(2, 5), t=3, cache_obj=quad_cache)
-        assert design.degree == 3
-        assert verify_monomials(design, 3, 1e-9).passed
 
 
 class TestDesignType:

@@ -17,6 +17,7 @@ from designforge import (
     solve_equal_weight,
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
+import designforge.quadrature as quadrature_module
 from designforge.quadrature import _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt
 
 mp.mp.dps = 40
@@ -108,13 +109,7 @@ class TestCachedCoefficients:
 
 class TestStallRule:
     def _inits(self, w, t, K):
-        rng = np.random.default_rng(0)
-        return [
-            _init_gauss_multiplicity(w, t, K, spread=0.05),
-            _init_quantile(w, K),
-            _init_gauss_multiplicity(w, t, K, spread=0.4),
-            _init_quantile(w, K) + rng.normal(scale=0.1 / K, size=K),
-        ]
+        return [_init_gauss_multiplicity(w, t, K), _init_quantile(w, K)]
 
     def test_doomed_K_stops_early(self):
         # no equal-weight rule of degree 10 for (2, 1) has 6 nodes; the
@@ -127,7 +122,7 @@ class TestStallRule:
 
     def test_succeeding_attempt_still_converges(self):
         w = JacobiWeight(2, 1)
-        theta, max_r, _ = _levenberg_marquardt(_init_gauss_multiplicity(w, 10, 21, 0.05), w, 10, 1e-12, 300)
+        theta, max_r, _ = _levenberg_marquardt(_init_gauss_multiplicity(w, 10, 21), w, 10, 1e-12, 300)
         assert max_r <= 0.05 * 1e-12
         q = Quadrature(weight=w, degree=10, nodes=np.cos(theta))
         certify(q, 1e-12)
@@ -238,6 +233,34 @@ class TestSolveEqualWeight:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             solve_equal_weight(JacobiWeight(2, 2), -1)
+
+    def test_two_attempts_per_K_gauss_first(self, monkeypatch):
+        attempts = []
+        real = quadrature_module._levenberg_marquardt
+
+        def recording(theta0, *args):
+            result = real(theta0, *args)
+            attempts.append((theta0, result[2]))
+            return result
+
+        monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", recording)
+        w = JacobiWeight(2, 1)
+        with pytest.raises(NoConvergenceError) as err:
+            solve_equal_weight(w, 6, SolverOptions(max_K=5, max_iterations=60))
+        Ks = [4, 5]  # ceil(7/2), then x1.5 capped at max_K
+        assert len(attempts) == 2 * len(Ks)
+        for K, gauss, quantile in zip(Ks, attempts[::2], attempts[1::2]):
+            assert np.array_equal(gauss[0], _init_gauss_multiplicity(w, 6, K))
+            assert np.array_equal(quantile[0], _init_quantile(w, K))
+        # the error carries the closest attempt's own report, with every attempt's iterations
+        assert err.value.report.K == err.value.best.K
+        assert err.value.report.max_abs_residual == err.value.best.max_abs_residual
+        assert err.value.report.iterations == sum(iters for _, iters in attempts)
+
+    def test_quantile_start_certifies_where_gauss_fails(self):
+        # at K=48 only the weight-quantile start converges; without it the solve ends at K=72
+        q, _ = solve_equal_weight(JacobiWeight(4, 2), 10)
+        assert q.certified and q.K == 48
 
 
 class TestSolverOptions:
