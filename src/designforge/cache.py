@@ -9,8 +9,9 @@ looser tolerance than the one asked for, so every hit is re-certified at the
 requested tolerance and served only if it passes; only certified rules are
 stored.  Disk writes are atomic (write a unique temp file, then rename) and
 idempotent: storing the same key twice leaves one file.  Recording a build
-holds a file lock across its read-modify-write of the size index.  Corrupt
-entries are ignored with a warning and rebuilt.
+holds a file lock across its read-modify-write of the size index;
+`read_build_index` reads it without creating anything.  Corrupt entries are
+ignored with a warning and rebuilt.
 """
 from __future__ import annotations
 
@@ -57,6 +58,32 @@ def dump_json(obj) -> str:
 def key(m: int, n: int, t: int, tol: float) -> str:
     """Cache key of a rule; the on-disk cache stores it as <key>.json."""
     return f"m{m}_n{n}_t{t}_e{round(math.log10(tol))}"
+
+
+_BUILD_INDEX = "builds.json"
+
+
+def build_key(n: int, t: int) -> str:
+    """Key of a t-design on S^n in the size index."""
+    return f"n{n}_t{t}"
+
+
+def read_build_index(root: Path) -> dict[str, int]:
+    """The size index <root>/builds.json, read only.
+
+    A missing file reads as empty; a corrupt one warns and reads as empty.
+    """
+    path = Path(root) / _BUILD_INDEX
+    if not path.exists():
+        return {}
+    try:
+        data = json.loads(path.read_text())
+    except ValueError:
+        data = None
+    if not isinstance(data, dict) or any(type(v) is not int for v in data.values()):
+        warnings.warn(f"ignoring corrupt build index {path}")
+        return {}
+    return data
 
 
 class InMemoryQuadratureCache:
@@ -114,31 +141,14 @@ class QuadratureCache(InMemoryQuadratureCache):
 
     # -- achieved build cardinalities, consumed by the bounds table --------
 
-    @property
-    def _builds_path(self) -> Path:
-        return self.root / "builds.json"
-
-    def _read_builds(self) -> dict[str, int]:
-        """The size index; a missing file reads as empty, a corrupt one warns and reads as empty."""
-        if not self._builds_path.exists():
-            return {}
-        try:
-            data = json.loads(self._builds_path.read_text())
-        except ValueError:
-            data = None
-        if not isinstance(data, dict) or any(type(v) is not int for v in data.values()):
-            warnings.warn(f"ignoring corrupt build index {self._builds_path}")
-            return {}
-        return data
-
     def record_build(self, n: int, t: int, cardinality: int) -> None:
         # an exclusive lock on a sidecar file spans the read and the write, so
         # concurrent recorders (threads or processes) never drop each other's entries
-        with open(self.root / "builds.json.lock", "a") as lock:
+        with open(self.root / (_BUILD_INDEX + ".lock"), "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
-            data = self._read_builds()
-            data[f"n{n}_t{t}"] = cardinality
-            atomic_write_text(self._builds_path, dump_json(dict(sorted(data.items()))))
+            data = read_build_index(self.root)
+            data[build_key(n, t)] = cardinality
+            atomic_write_text(self.root / _BUILD_INDEX, dump_json(dict(sorted(data.items()))))
 
     def achieved(self, n: int, t: int) -> int | None:
-        return self._read_builds().get(f"n{n}_t{t}")
+        return read_build_index(self.root).get(build_key(n, t))

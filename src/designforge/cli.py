@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
+from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, build_key, dump_json, read_build_index
 from .construct import (
     BuildError,
     Design,
@@ -108,18 +108,18 @@ def main():
 @_cache_dir_option
 def bounds(n, t_max, fmt, cache_dir):
     """Print, for t = 1..T_MAX, the size lower bound on S^N, the growth
-    exponent, t^exponent, and any cardinality achieved by earlier builds."""
-    cache = _open_cache(cache_dir)
+    exponent, t^exponent, and any cardinality achieved by earlier builds.
+    Only reads the cache directory's size index; creates nothing."""
+    index = read_build_index(cache_dir) if cache_dir else {}
     exponent = a_sequence(n)
     rows = []
     for t in range(1, t_max + 1):
-        achieved = cache.achieved(n, t) if cache else None
         rows.append(
             {
                 "t": t,
                 "lower_bound": lower_bound(n, t),
                 "t_pow_exponent": t**exponent,
-                "achieved": achieved,
+                "achieved": index.get(build_key(n, t)),
             }
         )
     if fmt == "json":

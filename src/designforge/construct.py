@@ -6,9 +6,12 @@ weight (1-x)^((m-2)/2) (1+x)^((n-2)/2), the K*M*N vectors
 
     ( sqrt((1-t_k)/2) * x,  sqrt((1+t_k)/2) * y )
 
-lie on the unit sphere of R^{m+n} and inherit the polynomial-averaging
-degree of the inputs.  Iterating the map from the two trivial bases -- the
-pair {-1, +1} in R^1 and regular polygons in R^2 -- reaches every dimension.
+lie on the unit sphere of R^{m+n}.  If X and Y are t-designs, T needs only
+degree floor(t/2): averaging a monomial u^a v^b of degree <= t over X and Y
+leaves only even exponents, so what remains is a polynomial in t_k of
+degree (|a|+|b|)/2 <= floor(t/2).  A T of degree k thus gives degree
+min(X, Y, 2k+1).  Iterating the map from the two trivial bases -- the pair
+{-1, +1} in R^1 and regular polygons in R^2 -- reaches every dimension.
 
 The split schedule halves the ambient dimension at each level: ambient 2q
 splits into (q, q) and ambient 2q+1 into (q, q+1), except ambient 3 which
@@ -117,8 +120,10 @@ def product(X: Design, Y: Design, T: Quadrature, allow_uncertified: bool = False
 
     Every (node, x, y) triple contributes one point, so the output has
     exactly K*M*N points; each has unit norm because the two scale factors
-    are sqrt((1-t)/2) and sqrt((1+t)/2).  The output degree is the minimum
-    of the three input degrees.  T must be certified unless
+    are sqrt((1-t)/2) and sqrt((1+t)/2).  The output degree is
+    min(X.degree, Y.degree, 2*T.degree + 1): averaging over X and Y keeps
+    only monomials whose exponents are all even, so a monomial of degree d
+    becomes a polynomial of degree <= d/2 in the node.  T must be certified unless
     allow_uncertified is set (useful for experiments only).
     """
     m, n = T.weight.m, T.weight.n
@@ -129,7 +134,7 @@ def product(X: Design, Y: Design, T: Quadrature, allow_uncertified: bool = False
     if not T.certified and not allow_uncertified:
         raise ValueError("quadrature is not certified (pass allow_uncertified=True to override)")
 
-    degree = min(X.degree, Y.degree, T.degree)
+    degree = min(X.degree, Y.degree, 2 * T.degree + 1)
     xs = np.repeat(X.points, Y.count, axis=0)
     ys = np.tile(Y.points, (X.count, 1))
     blocks = []
@@ -214,7 +219,8 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
     The default split sends ambient dimension 2q to (q, q) and 2q+1 to
     (q, q+1), with ambient 3 handled as (2, 1).  `overrides` maps an ambient
     dimension >= 3 to a custom (m, n) child pair with m + n = ambient, for
-    experimenting with other trees; ambient 1 and 2 are leaves.
+    experimenting with other trees; ambient 1 and 2 are leaves.  An override
+    for an ambient dimension the tree never reaches is an error, not ignored.
     """
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
@@ -236,7 +242,10 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
             return ambient // 2, ambient // 2
         return ambient // 2, ambient // 2 + 1
 
+    reached = set()
+
     def make(ambient: int) -> PlanNode:
+        reached.add(ambient)
         if ambient == 1:
             return PlanNode(ambient_dim=1, kind="s0")
         if ambient == 2:
@@ -244,7 +253,11 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
         dm, dn = split_of(ambient)
         return PlanNode(ambient_dim=ambient, kind="product", left=make(dm), right=make(dn))
 
-    return BuildPlan(sphere_dim=n, degree=t, root=make(n + 1))
+    root = make(n + 1)
+    unreached = sorted(overrides.keys() - reached)
+    if unreached:
+        raise ValueError(f"ambient {unreached[0]} is not in the tree for S^{n}, so its override would be ignored")
+    return BuildPlan(sphere_dim=n, degree=t, root=root)
 
 
 class BuildError(RuntimeError):
@@ -341,8 +354,9 @@ def build(
     """Execute a build plan bottom-up and certify every node.
 
     A leaf is exact by construction; a product node first solves (or fetches
-    from cache) its equal-weight quadrature.  Either way the node's design
-    then goes through `verify.verify_design`, which reads the monomial and,
+    from cache) its equal-weight quadrature of degree floor(t/2), which is
+    enough for degree t (see `product`).  Either way the node's design then
+    goes through `verify.verify_design`, which reads the monomial and,
     from ambient 2 up, the pairwise certificate off one moment table.  Raises
     BuildError naming the offending node if any certificate exceeds
     design_tol, and propagates NoConvergenceError from the quadrature solver.
@@ -362,7 +376,7 @@ def build(
             X, left_report = execute(node.left, path + "L")
             Y, right_report = execute(node.right, path + "R")
             m, n = node.split
-            quad = solve_cached(m, n, t, solver_opts, cache_obj)
+            quad = solve_cached(m, n, t // 2, solver_opts, cache_obj)
             design = product(X, Y, quad)
             fields = dict(m=m, n=n, K=quad.K, M=X.count, N=Y.count, quad_residual=quad.max_abs_residual,
                           children=[left_report, right_report])

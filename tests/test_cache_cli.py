@@ -202,7 +202,13 @@ class TestBoundsCommand:
             main, ["bounds", "2", "2", "--format", "json", "--cache-dir", str(tmp_path)]
         )
         data = json.loads(result.output)
-        assert data["rows"][1]["achieved"] == 12
+        assert data["rows"][1]["achieved"] == 6
+
+    def test_bounds_creates_no_directory(self, runner, tmp_path):
+        cache_dir = tmp_path / "newdir"
+        result = runner.invoke(main, ["bounds", "2", "2", "--cache-dir", str(cache_dir)])
+        assert result.exit_code == 0, result.output
+        assert not cache_dir.exists()
 
 
 @pytest.mark.parametrize("content", ["[]", '{"n2_t1": "x"}'])
@@ -313,7 +319,7 @@ class TestBuildCommand:
         result = runner.invoke(main, ["build", "2", "2", "-o", str(out), "--format", "csv"])
         assert result.exit_code == 0
         rows = [line.split(",") for line in out.read_text().strip().splitlines()]
-        assert len(rows) == 12 and len(rows[0]) == 3
+        assert len(rows) == 6 and len(rows[0]) == 3
         verify_result = runner.invoke(main, ["verify", str(out), "-t", "2"])
         assert verify_result.exit_code == 0
 
@@ -338,8 +344,9 @@ class TestBuildCommand:
             (b'{"4": 3}', "integer pair"),
             (b'\xff{"4": [1, 3]}', "not UTF-8"),
             (b'{"2": [1, 1]}', "ambient 2 is a leaf"),
+            (b'{"9": [4, 5]}', "invalid plan: ambient 9 is not in the tree"),
         ],
-        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8", "ambient-2"],
+        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8", "ambient-2", "unreached"],
     )
     def test_bad_plan_file_exits_2(self, runner, tmp_path, content, message):
         plan_file = tmp_path / "plan.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from designforge import (
     BuildError,
     Design,
+    InMemoryQuadratureCache,
     JacobiWeight,
     Quadrature,
     a_sequence,
@@ -19,8 +20,21 @@ from designforge import (
     plan,
     product,
     solve_equal_weight,
+    verify_design,
     verify_monomials,
 )
+
+
+class CountingCache(InMemoryQuadratureCache):
+    """Records the (m, n, degree) of every rule stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def store(self, q):
+        self.stored.append((q.weight.m, q.weight.n, q.degree))
+        super().store(q)
 
 
 class TestBaseDesigns:
@@ -112,7 +126,18 @@ class TestProduct:
     def test_degree_is_minimum_of_inputs(self):
         X, Y = base_s1(5), base_s0(9)
         T, _ = solve_equal_weight(JacobiWeight(2, 1), 2)
-        assert product(X, Y, T).degree == 2
+        assert product(X, Y, T).degree == 5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_degree_k_rule_gives_exactly_2k_plus_1(self, k):
+        # the (2k+4)-gon and {+-1} are exact beyond 2k+2, so the rule alone
+        # limits the degree; (2, 1) is asymmetric, so nothing is exact by symmetry
+        X, Y = base_s1(2 * k + 3), base_s0(2 * k + 3)
+        T, _ = solve_equal_weight(JacobiWeight(2, 1), k)
+        D = product(X, Y, T)
+        assert D.degree == 2 * k + 1
+        assert all(r.passed for r in verify_design(D, 2 * k + 1, 1e-9))
+        assert not all(r.passed for r in verify_design(D, 2 * k + 2, 1e-9))
 
 
 class TestExponentSequence:
@@ -189,6 +214,16 @@ class TestPlan:
         with pytest.raises(ValueError, match="leaf"):  # ambient 2 is a polygon leaf, never split
             plan(4, 1, overrides={2: (1, 1)})
 
+    def test_unreached_override_rejected(self):
+        with pytest.raises(ValueError, match="ambient 9 is not in the tree"):
+            plan(2, 3, overrides={9: (4, 5)})
+        with pytest.raises(ValueError, match="ambient 4 is not in the tree"):  # 5 splits (2, 3)
+            plan(4, 1, overrides={4: (1, 3)})
+
+    def test_override_reached_through_another_override(self):
+        bp = plan(4, 1, overrides={5: (1, 4), 4: (1, 3)})
+        assert bp.root.split == (1, 4) and bp.root.right.split == (1, 3)
+
     def test_leaf_only_plan_for_circle(self):
         bp = plan(1, 7)
         assert bp.root.kind == "s1"
@@ -224,6 +259,13 @@ class TestBuild:
                     check(child)
 
         check(report.root)
+
+    def test_even_and_odd_degree_share_a_rule(self):
+        cache = CountingCache()
+        build(plan(2, 6), cache_obj=cache)
+        assert cache.stored == [(2, 1, 3)]
+        design, _ = build(plan(2, 7), cache_obj=cache)
+        assert cache.stored == [(2, 1, 3)] and design.degree == 7
 
     def test_failed_verification_names_node(self, quad_cache):
         with pytest.raises(BuildError) as err:
