@@ -19,7 +19,6 @@ from .construct import (
 from .moments import (
     JacobiWeight,
     MultiIndex,
-    count_multi_indices,
     iter_multi_indices,
     jacobi_moment_ratio,
     power_moment,
@@ -31,7 +30,6 @@ from .quadrature import (
     QuadratureReport,
     SolverOptions,
     certify,
-    residual_vector,
     solve_equal_weight,
 )
 from .verify import (
@@ -61,14 +59,12 @@ __all__ = [
     "base_s1",
     "build",
     "certify",
-    "count_multi_indices",
     "iter_multi_indices",
     "jacobi_moment_ratio",
     "lower_bound",
     "plan",
     "power_moment",
     "product",
-    "residual_vector",
     "solve_cached",
     "solve_equal_weight",
     "sphere_monomial_moment",

@@ -89,8 +89,6 @@ def read_build_index(root: Path) -> dict[str, int]:
 class InMemoryQuadratureCache:
     """Session-local quadrature store, and the lookup path of both caches."""
 
-    key = staticmethod(key)
-
     def __init__(self):
         self._store: dict[str, Quadrature] = {}
 
@@ -149,6 +147,3 @@ class QuadratureCache(InMemoryQuadratureCache):
             data = read_build_index(self.root)
             data[build_key(n, t)] = cardinality
             atomic_write_text(self.root / _BUILD_INDEX, dump_json(dict(sorted(data.items()))))
-
-    def achieved(self, n: int, t: int) -> int | None:
-        return read_build_index(self.root).get(build_key(n, t))

@@ -3,13 +3,16 @@
 Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge, 2 with a one-line message
 for user-input errors: unreadable input files, output or cache paths that
-cannot be written, invalid build plans, and out-of-range dimensions,
-degrees, tolerances or solver limits; paths are checked before any solve.
+cannot be written, invalid build plans, out-of-range dimensions, degrees,
+tolerances or solver limits, and click's own usage errors (a value of the
+wrong type, an unknown option or command, a missing argument); paths are
+checked before any solve.
 Output files contain no timestamps or environment data, so identical
 commands with identical cache state produce byte-identical files.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -96,7 +99,34 @@ def _solver_flags(command):
     return command
 
 
-@click.group()
+# bare `designforge` prints the help text; click >= 8.2 does it by raising this
+# UsageError, which must pass through (older click prints the help and exits)
+_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+@contextlib.contextmanager
+def _one_line_usage_errors():
+    try:
+        yield
+    except _HELP:
+        raise
+    except click.UsageError as exc:
+        raise InputError(exc.format_message()) from None
+
+
+class _Group(click.Group):
+    """Reports click's usage errors, its own and each subcommand's, as InputError."""
+
+    def make_context(self, *args, **kwargs):
+        with _one_line_usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _one_line_usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Build and certify averaging point sets on spheres."""
 

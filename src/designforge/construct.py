@@ -26,7 +26,7 @@ record the worst residual of its certificates in the node's report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -107,15 +107,17 @@ def base_s1(t: int, phase: float = 0.0) -> Design:
     A (t+1)-gon kills every circular harmonic of order 1..t, so it is a
     t-design with the fewest possible points; the phase is free (rotations
     do not change the averaging property) but pinned for reproducibility.
+    The phase is first reduced mod 2*pi, which is exact, so a large phase
+    loses no precision in the angles.
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
     j = np.arange(t + 1, dtype=np.longdouble)
-    theta = 2 * _PI * j / np.longdouble(t + 1) + np.longdouble(phase)
+    theta = 2 * _PI * j / np.longdouble(t + 1) + np.fmod(np.longdouble(phase), 2 * _PI)
     return Design(ambient_dim=2, degree=t, points=np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
-def product(X: Design, Y: Design, T: Quadrature, allow_uncertified: bool = False) -> Design:
+def product(X: Design, Y: Design, T: Quadrature) -> Design:
     """Combine designs on the spheres of R^m and R^n into one on R^{m+n}.
 
     Every (node, x, y) triple contributes one point, so the output has
@@ -123,16 +125,16 @@ def product(X: Design, Y: Design, T: Quadrature, allow_uncertified: bool = False
     are sqrt((1-t)/2) and sqrt((1+t)/2).  The output degree is
     min(X.degree, Y.degree, 2*T.degree + 1): averaging over X and Y keeps
     only monomials whose exponents are all even, so a monomial of degree d
-    becomes a polynomial of degree <= d/2 in the node.  T must be certified unless
-    allow_uncertified is set (useful for experiments only).
+    becomes a polynomial of degree <= d/2 in the node.  T must be certified:
+    a hand-made rule can be marked `certified=True` by its maker.
     """
     m, n = T.weight.m, T.weight.n
     if X.ambient_dim != m:
         raise ValueError(f"first factor lives in R^{X.ambient_dim}, quadrature expects R^{m}")
     if Y.ambient_dim != n:
         raise ValueError(f"second factor lives in R^{Y.ambient_dim}, quadrature expects R^{n}")
-    if not T.certified and not allow_uncertified:
-        raise ValueError("quadrature is not certified (pass allow_uncertified=True to override)")
+    if not T.certified:
+        raise ValueError("quadrature is not certified")
 
     degree = min(X.degree, Y.degree, 2 * T.degree + 1)
     xs = np.repeat(X.points, Y.count, axis=0)
@@ -268,6 +270,10 @@ class BuildError(RuntimeError):
         self.node_path = node_path
 
 
+# BuildNodeReport fields that only a product node has
+_PRODUCT_ONLY = ("m", "n", "K", "M", "N", "quad_residual")
+
+
 @dataclass
 class BuildNodeReport:
     path: str
@@ -285,25 +291,9 @@ class BuildNodeReport:
     children: list["BuildNodeReport"] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "path": self.path,
-            "ambient_dim": self.ambient_dim,
-            "kind": self.kind,
-            "cardinality": self.cardinality,
-            "verify_method": self.verify_method,
-            "verify_residual": self.verify_residual,
-        }
-        if self.kind == "product":
-            out.update(
-                {
-                    "m": self.m,
-                    "n": self.n,
-                    "K": self.K,
-                    "M": self.M,
-                    "N": self.N,
-                    "quad_residual": self.quad_residual,
-                }
-            )
+        """Fields in declaration order; a leaf omits the product-only fields."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if self.kind == "product" or f.name not in _PRODUCT_ONLY}
         out["children"] = [c.to_json_dict() for c in self.children]
         return out
 
@@ -320,16 +310,10 @@ class BuildReport:
     root: BuildNodeReport
 
     def to_json_dict(self) -> dict:
-        return {
-            "sphere_dim": self.sphere_dim,
-            "degree": self.degree,
-            "total_points": self.total_points,
-            "exponent": self.exponent,
-            "dgs_lower_bound": self.dgs_lower_bound,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "tree": self.root.to_json_dict(),
-        }
+        """Fields in declaration order, with the root node's report under "tree"."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["tree"] = out.pop("root").to_json_dict()
+        return out
 
 
 def solve_cached(
@@ -367,7 +351,7 @@ def build(
         cache_obj = InMemoryQuadratureCache()
 
     def execute(node: PlanNode, path: str) -> tuple[Design, BuildNodeReport]:
-        fields = {}
+        product_fields = {}
         if node.kind == "s0":
             design = base_s0(t)
         elif node.kind == "s1":
@@ -378,8 +362,8 @@ def build(
             m, n = node.split
             quad = solve_cached(m, n, t // 2, solver_opts, cache_obj)
             design = product(X, Y, quad)
-            fields = dict(m=m, n=n, K=quad.K, M=X.count, N=Y.count, quad_residual=quad.max_abs_residual,
-                          children=[left_report, right_report])
+            product_fields = dict(m=m, n=n, K=quad.K, M=X.count, N=Y.count,
+                                  quad_residual=quad.max_abs_residual, children=[left_report, right_report])
         checks = _verify.verify_design(design, t, design_tol)
         residual = max(r.max_abs_residual for r in checks)
         if not all(r.passed for r in checks):
@@ -395,7 +379,7 @@ def build(
             cardinality=design.count,
             verify_method="+".join(r.method for r in checks),
             verify_residual=residual,
-            **fields,
+            **product_fields,
         )
         return design, report
 

@@ -93,9 +93,6 @@ class JacobiWeight:
         )
         return 2.0 ** ((self.m + self.n - 2) / 2) * math.exp(log_beta)
 
-    def __call__(self, x: float) -> float:
-        return (1.0 - x) ** float(self.alpha) * (1.0 + x) ** float(self.beta)
-
 
 def _rising(x: Fraction, k: int) -> Fraction:
     """x (x+1) ... (x+k-1), exactly."""
@@ -179,7 +176,3 @@ def iter_multi_indices(dim: int, max_degree: int) -> Iterator[MultiIndex]:
     for degree in range(max_degree + 1):
         for exps in compositions(degree, dim):
             yield MultiIndex(exps)
-
-
-def count_multi_indices(dim: int, max_degree: int) -> int:
-    return math.comb(dim + max_degree, dim)

@@ -161,34 +161,19 @@ class NoConvergenceError(RuntimeError):
         self.report = report
 
 
-def _raw_residuals(nodes: np.ndarray, w: JacobiWeight, degree: int, dtype=np.float64) -> np.ndarray:
-    """Averages of the orthonormal polynomials P_0..P_degree over the nodes.
-
-    Entry 0 is forced to exactly 0: equal weights always reproduce constants.
-    """
-    p = orthonormal_values(w, degree, np.asarray(nodes, dtype=dtype), dtype=dtype)
-    r = p.mean(axis=1)
-    r[0] = 0
-    return r
-
-
-def residual_vector(q: Quadrature) -> np.ndarray:
-    """Residuals r_0..r_t of the quadrature against its weight's orthonormal basis.
-
-    All entries are exactly 0 for a rule of degree t; r_0 is 0 by construction.
-    """
-    return _raw_residuals(q.nodes, q.weight, q.degree).astype(np.float64)
-
-
 def certify(q: Quadrature, tol: float) -> QuadratureReport:
     """Re-evaluate residuals in extended precision and set the certified flag.
 
-    The exact targets are rational (zero for every orthonormal degree >= 1),
-    and the recurrence coefficients are exact rationals converted straight to
-    extended precision, so the only noise left is the extended-precision
-    arithmetic itself.
+    The residuals r_0..r_t are the averages of the orthonormal polynomials
+    P_0..P_t over the nodes; r_0 is 0 by construction.  The exact targets
+    are rational (zero for every orthonormal degree >= 1), and the recurrence
+    coefficients are exact rationals converted straight to extended
+    precision, so the only noise left is the extended-precision arithmetic
+    itself.
     """
-    residuals = _raw_residuals(q.nodes, q.weight, q.degree, dtype=np.longdouble)
+    nodes = np.asarray(q.nodes, dtype=np.longdouble)
+    residuals = orthonormal_values(q.weight, q.degree, nodes, dtype=np.longdouble).mean(axis=1)
+    residuals[0] = 0  # equal weights always reproduce constants
     max_abs = float(np.max(np.abs(residuals[1:]))) if q.degree >= 1 else 0.0
     q.certified = max_abs <= tol
     q.tolerance = tol

@@ -53,7 +53,7 @@ size of delta^2.  Summing squared averages instead cancels terms as large as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -72,17 +72,10 @@ class VerificationReport:
     worst_degree: int | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "degree_checked": self.degree_checked,
-            "max_abs_residual": self.max_abs_residual,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
+        """Fields in declaration order, skipping those that are None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         if self.worst_monomial is not None:
             out["worst_monomial"] = list(self.worst_monomial.exponents)
-        if self.worst_degree is not None:
-            out["worst_degree"] = self.worst_degree
         return out
 
 

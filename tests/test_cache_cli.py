@@ -8,8 +8,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from designforge import InMemoryQuadratureCache, JacobiWeight, Quadrature, certify, solve_equal_weight
-from designforge.cache import QuadratureCache, atomic_write_text
+from designforge import (
+    InMemoryQuadratureCache,
+    JacobiWeight,
+    MultiIndex,
+    Quadrature,
+    VerificationReport,
+    build,
+    certify,
+    plan,
+    solve_equal_weight,
+)
+from designforge.cache import QuadratureCache, atomic_write_text, build_key, key, read_build_index
 from designforge.cli import main
 
 
@@ -42,7 +52,7 @@ class TestQuadratureCache:
         cache = QuadratureCache(tmp_path)
         q, _ = solve_equal_weight(JacobiWeight(2, 1), 2)
         cache.store(q)
-        first = (cache.quad_dir / (cache.key(2, 1, 2, 1e-12) + ".json")).read_bytes()
+        first = (cache.quad_dir / (key(2, 1, 2, 1e-12) + ".json")).read_bytes()
         cache.store(q)
         files = list(cache.quad_dir.iterdir())
         assert len(files) == 1
@@ -60,7 +70,7 @@ class TestQuadratureCache:
         cache = QuadratureCache(tmp_path)
         q, _ = solve_equal_weight(JacobiWeight(2, 2), 2)
         cache.store(q)
-        path = cache.quad_dir / (cache.key(2, 2, 2, 1e-12) + ".json")
+        path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
         path.write_text("{ not json")
         with pytest.warns(UserWarning, match="corrupt"):
             assert cache.lookup(2, 2, 2, 1e-12) is None
@@ -105,9 +115,9 @@ class TestQuadratureCache:
 
     def test_build_index(self, tmp_path):
         cache = QuadratureCache(tmp_path)
-        assert cache.achieved(2, 3) is None
+        assert build_key(2, 3) not in read_build_index(tmp_path)
         cache.record_build(2, 3, 24)
-        assert cache.achieved(2, 3) == 24
+        assert read_build_index(tmp_path)[build_key(2, 3)] == 24
 
     def test_concurrent_record_build_keeps_every_entry(self, tmp_path):
         # an unlocked read-modify-write lets one recorder overwrite another's entry
@@ -136,9 +146,10 @@ class TestQuadratureCache:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
+        index = read_build_index(tmp_path)
         for n in range(1, recorders + 1):
             for t in range(1, rounds + 1):
-                assert cache.achieved(n, t) == 100 * n + t, (n, t)
+                assert index.get(build_key(n, t)) == 100 * n + t, (n, t)
 
 
 class TestAtomicWrite:
@@ -368,6 +379,11 @@ class TestBuildCommand:
         )
         assert a.read_text() != b.read_text()
 
+    def test_large_phase_still_certifies(self, runner):
+        # added to each angle unreduced, a phase of 1e12 left the hexagon's
+        # residual at 9.6e-9, past the 1e-9 design tolerance
+        assert runner.invoke(main, ["build", "2", "4", "--phase", "1e12"]).exit_code == 0
+
     def test_output_files_are_serialization_fixed_points(self, runner, tmp_path):
         design_file = tmp_path / "d.json"
         report_file = tmp_path / "r.json"
@@ -433,6 +449,56 @@ def test_unwritable_path_exits_2_before_solving(runner, tmp_path, monkeypatch, a
     (tmp_path / "file").write_text("")
     monkeypatch.setattr("designforge.construct.solve_equal_weight", None)  # any solve would fail loudly
     assert_input_error(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["verify", "missing.json", "-t", "1"], "File 'missing.json' does not exist"),
+        (["build", "two", "3"], "'two' is not a valid integer"),
+        (["build", "2", "3", "--format", "xml"], "'xml' is not one of"),
+        (["build", "2", "3", "-o", "dir"], "File 'dir' is a directory"),
+        (["build", "2", "3", "--cache-dir", "file"], "Directory 'file' is a file"),
+    ],
+    ids=["verify-missing-file", "build-non-integer", "build-bad-format", "build-output-dir", "build-cache-dir-file"],
+)
+def test_click_parameter_error_is_one_line(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    assert_input_error(runner.invoke(main, args), message)
+
+
+class TestReportLayout:
+    """Key order of the report files; `to_json_dict` writes them in this order."""
+
+    NODE = ["path", "ambient_dim", "kind", "cardinality", "verify_method", "verify_residual"]
+    PRODUCT = ["m", "n", "K", "M", "N", "quad_residual"]
+
+    def test_build_report_keys(self):
+        _, report = build(plan(2, 3))
+        data = report.to_json_dict()
+        assert list(data) == [
+            "sphere_dim", "degree", "total_points", "exponent", "dgs_lower_bound", "max_residual", "passed", "tree"
+        ]
+        root = data["tree"]
+        assert list(root) == self.NODE + self.PRODUCT + ["children"]
+        assert [child["kind"] for child in root["children"]] == ["s1", "s0"]
+        for leaf in root["children"]:
+            assert list(leaf) == self.NODE + ["children"]
+            assert leaf["children"] == []
+
+    def test_verification_report_keys(self):
+        head = ["method", "degree_checked", "max_abs_residual", "passed", "tolerance"]
+        plain = VerificationReport(method="monomial", degree_checked=2, max_abs_residual=0.0, passed=True, tolerance=1e-9)
+        assert list(plain.to_json_dict()) == head
+        worst = VerificationReport(
+            method="monomial", degree_checked=2, max_abs_residual=0.0, passed=True, tolerance=1e-9,
+            worst_monomial=MultiIndex((2, 0)), worst_degree=1,
+        )
+        data = worst.to_json_dict()
+        assert list(data) == head + ["worst_monomial", "worst_degree"]
+        assert data["worst_monomial"] == [2, 0]
 
 
 class TestVerifyCommand:

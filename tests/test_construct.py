@@ -91,15 +91,15 @@ class TestProduct:
     def test_cardinality_is_kmn(self):
         X, Y = base_s1(3), base_s0(3)  # M = 4, N = 2
         T = Quadrature(
-            weight=JacobiWeight(2, 1), degree=3, nodes=np.array([-0.8, 0.1, 0.5])
+            weight=JacobiWeight(2, 1), degree=3, nodes=np.array([-0.8, 0.1, 0.5]), certified=True
         )
-        D = product(X, Y, T, allow_uncertified=True)
+        D = product(X, Y, T)
         assert D.count == 3 * 4 * 2 == 24
 
     def test_degenerate_node_embeds_first_factor(self):
         X, Y = base_s1(2), base_s0(2)
-        T = Quadrature(weight=JacobiWeight(2, 1), degree=2, nodes=np.array([-1.0]))
-        D = product(X, Y, T, allow_uncertified=True)
+        T = Quadrature(weight=JacobiWeight(2, 1), degree=2, nodes=np.array([-1.0]), certified=True)
+        D = product(X, Y, T)
         pts = np.asarray(D.points, dtype=float)
         assert pts[:, 2] == pytest.approx(np.zeros(D.count), abs=0)
         assert pts[:, :2] == pytest.approx(

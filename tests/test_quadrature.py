@@ -13,7 +13,6 @@ from designforge import (
     certify,
     jacobi_moment_ratio,
     power_moment,
-    residual_vector,
     solve_equal_weight,
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
@@ -132,26 +131,26 @@ class TestStallRule:
 class TestResidualVector:
     def test_midpoint_kills_degree_one(self):
         q = Quadrature(weight=JacobiWeight(2, 2), degree=1, nodes=np.array([0.0]))
-        assert residual_vector(q) == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert certify(q, 1e-12).residuals == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_gauss_pair_exact_through_degree_three(self):
         root = 1 / math.sqrt(3)
         q = Quadrature(weight=JacobiWeight(2, 2), degree=3, nodes=np.array([-root, root]))
-        assert np.max(np.abs(residual_vector(q))) < 1e-14
+        assert np.max(np.abs(certify(q, 1e-12).residuals)) < 1e-14
 
     def test_endpoints_fail_degree_two(self):
         # exact Gram-Schmidt for the flat weight: P2 = (x^2 - 1/3)/sqrt(4/45),
         # so P2(+-1) = sqrt(5) and the equal-weight average at {-1, 1} is sqrt(5)
         q = Quadrature(weight=JacobiWeight(2, 2), degree=2, nodes=np.array([-1.0, 1.0]))
-        r = residual_vector(q)
+        r = certify(q, 1e-12).residuals
         assert r[2] == pytest.approx(math.sqrt(5), abs=1e-12)
 
     def test_permutation_invariant(self):
         nodes = np.array([0.7, -0.2, 0.1, -0.9])
-        a = residual_vector(Quadrature(weight=JacobiWeight(3, 2), degree=4, nodes=nodes))
-        b = residual_vector(
-            Quadrature(weight=JacobiWeight(3, 2), degree=4, nodes=nodes[::-1].copy())
-        )
+        a = certify(Quadrature(weight=JacobiWeight(3, 2), degree=4, nodes=nodes), 1e-12).residuals
+        b = certify(
+            Quadrature(weight=JacobiWeight(3, 2), degree=4, nodes=nodes[::-1].copy()), 1e-12
+        ).residuals
         assert np.array_equal(a, b)  # nodes are canonicalized to ascending order
 
 
