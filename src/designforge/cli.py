@@ -131,7 +131,11 @@ def main():
     """Build and certify averaging point sets on spheres."""
 
 
-@main.command()
+# `-1` reaches its argument's range check; an unknown option is an extra argument
+_NUMBERS_MAY_BE_NEGATIVE = {"ignore_unknown_options": True}
+
+
+@main.command(context_settings=_NUMBERS_MAY_BE_NEGATIVE)
 @click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t_max", type=int)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -166,7 +170,7 @@ def bounds(n, t_max, fmt, cache_dir):
         )
 
 
-@main.command()
+@main.command(context_settings=_NUMBERS_MAY_BE_NEGATIVE)
 @click.argument("m", type=int, callback=_at_least(1))
 @click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t", type=int, callback=_at_least(0))
@@ -198,7 +202,7 @@ def _design_csv(design: Design) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command("build")
+@main.command("build", context_settings=_NUMBERS_MAY_BE_NEGATIVE)
 @click.argument("n", type=int)
 @click.argument("t", type=int)
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)
@@ -293,6 +297,10 @@ def _load_design(path: Path, t: int) -> Design:
             rows.append([float(v) for v in line.split(",")])
         except ValueError as exc:
             raise InputError(f"parse error in {path} at line {lineno}: {exc}")
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(
+                f"parse error in {path} at line {lineno}: {len(rows[-1])} values, expected {len(rows[0])}"
+            )
     if not rows:
         raise InputError(f"parse error in {path}: no data rows")
     try:

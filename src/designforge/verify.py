@@ -7,7 +7,9 @@ Both criteria read one table.  For every monomial x^alpha of total degree
 
 of the point average from the exact rational sphere moment mu_alpha.
 Averages are accumulated in extended precision with pairwise reduction, so
-each deviation is exact to well under one double ulp.
+each deviation is exact to well under one double ulp.  The exact constants
+(these moments, and the multinomials and zonal coefficients below) are
+converted once per (d, t), on first use, and shared read-only.
 
 The table is filled by a depth-first walk over the coordinates of N points in
 R^d.  The product x_0^a_0 ... x_c^a_c is formed once and shared by every
@@ -25,7 +27,8 @@ ran.
 
 * `verify_monomials` reports the largest |delta_alpha|.
 * `verify_gegenbauer` reports, for k = 1..t, the pairwise sum of the ambient
-  sphere's degree-k zonal polynomial C_k (Gegenbauer, parameter (d-2)/2;
+  sphere's degree-k zonal polynomial C_k (the Jacobi polynomial of weight
+  (d-1, d-1) from `jacobi`'s recurrence: Gegenbauer of parameter (d-2)/2,
   Chebyshev for d = 2), normalized by N^2 and by C_k(1) so residuals are
   comparable across degrees.  By the addition theorem each sum is a sum of
   squares, so it vanishes exactly when the point set averages all degree-k
@@ -55,10 +58,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from .moments import MultiIndex, iter_multi_indices, sphere_monomial_moment
+from . import jacobi
+from .moments import JacobiWeight, MultiIndex, iter_multi_indices, sphere_monomial_moment
 
 
 @dataclass
@@ -77,10 +82,6 @@ class VerificationReport:
         if self.worst_monomial is not None:
             out["worst_monomial"] = list(self.worst_monomial.exponents)
         return out
-
-
-def _fraction_to_longdouble(f) -> np.longdouble:
-    return np.longdouble(f.numerator) / np.longdouble(f.denominator)
 
 
 # Powers of the first coordinates are formed by a running product as the walk
@@ -154,27 +155,22 @@ def _moment_deviations(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]
     ]
     sums = {}
     _walk(pts, tables, scratch, 0, t, None, (), sums)
-    return [
-        (alpha, sums[alpha.exponents] / count - _fraction_to_longdouble(sphere_monomial_moment(dim, alpha)))
-        for alpha in iter_multi_indices(dim, t)
-    ]
+    moments, _ = _exact_constants(dim, t)
+    return [(alpha, sums[alpha.exponents] / count - mu) for alpha, mu in zip(iter_multi_indices(dim, t), moments)]
+
+
+def _first_largest(values) -> tuple[int, float]:
+    """(index, value) of the first largest |v|, compared as doubles."""
+    residuals = [float(abs(v)) for v in values]
+    i = int(np.argmax(residuals))
+    return i, residuals[i]
 
 
 def _monomial_report(deviations, t: int, tol: float) -> VerificationReport:
-    worst = -1.0
-    worst_alpha = None
-    for alpha, delta in deviations:
-        residual = float(abs(delta))
-        if residual > worst:
-            worst = residual
-            worst_alpha = alpha
+    i, worst = _first_largest(delta for _, delta in deviations)
     return VerificationReport(
-        method="monomial",
-        degree_checked=t,
-        max_abs_residual=worst,
-        passed=worst <= tol,
-        tolerance=tol,
-        worst_monomial=worst_alpha,
+        method="monomial", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
+        worst_monomial=deviations[i][0],
     )
 
 
@@ -183,56 +179,51 @@ def verify_monomials(design, t: int, tol: float) -> VerificationReport:
     return _monomial_report(_moment_deviations(design, t), t, tol)
 
 
+def _read_only(values) -> np.ndarray:
+    out = jacobi._to_dtype(values, np.longdouble)
+    out.setflags(write=False)
+    return out
+
+
+@cache
 def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
-    """Row k holds the power-basis coefficients of C_k(s) / C_k(1), k <= t.
+    """Row k holds the power-basis coefficients of C_k(s) / C_k(1), k <= t, read-only.
 
-    Exact recurrence for the normalized polynomials, lambda = (dim - 2)/2:
-    (k + 2 lambda) P_{k+1} = 2 (k + lambda) s P_k - k P_{k-1}, with P_0 = 1
-    and P_1 = s.  At lambda = 0 it is the Chebyshev recurrence.
+    C_k is the monic Jacobi polynomial of JacobiWeight(dim - 1, dim - 1), that
+    is Gegenbauer of parameter (dim - 2)/2 (Chebyshev for dim = 2).  The weight
+    is symmetric, so every a_k is 0 and C_{k+1} = s C_k - b_k C_{k-1}.
     """
-    lam = Fraction(dim - 2, 2)
-    rows = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    for k in range(1, t):
-        nxt = [Fraction(0)] + [2 * (k + lam) * c for c in rows[k]]
-        for j, c in enumerate(rows[k - 1]):
-            nxt[j] -= k * c
-        rows.append([c / (k + 2 * lam) for c in nxt])
-    out = np.zeros((t + 1, t + 1), dtype=np.longdouble)
-    for k in range(t + 1):
-        for j, c in enumerate(rows[k]):
-            out[k, j] = _fraction_to_longdouble(c)
-    return out
+    _, b = jacobi.recurrence_coefficients(JacobiWeight(dim - 1, dim - 1), t)
+    rows = [[Fraction(0)] * (t + 1), [Fraction(1)] + [Fraction(0)] * t]  # C_{-1}, C_0
+    for k in range(t):
+        rows.append([c - b[k] * p for c, p in zip([Fraction(0)] + rows[-1][:-1], rows[-2])])
+    return _read_only([c / sum(row) for row in rows[1:] for c in row]).reshape(t + 1, t + 1)
 
 
-def _multinomial(alpha: MultiIndex) -> int:
-    """|alpha|! / (alpha_1! ... alpha_d!)."""
-    out = math.factorial(alpha.degree)
-    for e in alpha:
-        out //= math.factorial(e)
-    return out
+@cache
+def _exact_constants(dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sphere moments and multinomials |alpha|!/alpha! for |alpha| <= t,
+    in the order of `iter_multi_indices`."""
+    alphas = list(iter_multi_indices(dim, t))
+    return (
+        _read_only([sphere_monomial_moment(dim, alpha) for alpha in alphas]),
+        _read_only([math.factorial(alpha.degree) // math.prod(map(math.factorial, alpha)) for alpha in alphas]),
+    )
 
 
 def _gegenbauer_report(deviations, dim: int, t: int, tol: float) -> VerificationReport:
+    _, multinomials = _exact_constants(dim, t)
     squares = np.zeros(t + 1, dtype=np.longdouble)
-    for alpha, delta in deviations:
-        squares[alpha.degree] += np.longdouble(_multinomial(alpha)) * delta * delta
+    for (alpha, delta), weight in zip(deviations, multinomials):
+        squares[alpha.degree] += weight * delta * delta
     sums = _zonal_coefficients(dim, t) @ squares
 
-    worst = -1.0
-    worst_k = None
-    for k in range(1, t + 1):
-        residual = float(abs(sums[k]))
-        if residual > worst:
-            worst = residual
-            worst_k = k
-    if t == 0:
-        worst = 0.0
+    worst, worst_k = 0.0, None
+    if t > 0:
+        i, worst = _first_largest(sums[1:])
+        worst_k = i + 1
     return VerificationReport(
-        method="gegenbauer",
-        degree_checked=t,
-        max_abs_residual=worst,
-        passed=worst <= tol,
-        tolerance=tol,
+        method="gegenbauer", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
         worst_degree=worst_k,
     )
 

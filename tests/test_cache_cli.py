@@ -469,6 +469,20 @@ def test_click_parameter_error_is_one_line(runner, tmp_path, monkeypatch, args, 
     assert_input_error(runner.invoke(main, args), message)
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["build", "-1", "3"], "invalid plan: sphere dimension must be >= 1, got -1"),
+        (["build", "2", "-1"], "invalid plan: degree must be >= 0, got -1"),
+        (["quadrature", "-1", "1", "2"], "M must be >= 1, got -1"),
+        (["build", "2", "3", "--bogus"], "--bogus"),
+    ],
+    ids=["build-negative-dim", "build-negative-degree", "quadrature-negative-m", "build-unknown-option"],
+)
+def test_negative_number_reaches_range_check(runner, args, message):
+    assert_input_error(runner.invoke(main, args), message)
+
+
 class TestReportLayout:
     """Key order of the report files; `to_json_dict` writes them in this order."""
 
@@ -594,6 +608,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert result.exit_code == 2
         assert "line 2" in result.output
+
+    def test_ragged_csv_reports_line_and_width(self, runner, tmp_path):
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("1,0\n0,1,0\n")
+        result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
+        assert_input_error(result, "ragged.csv at line 2: 3 values, expected 2")
 
     def test_env_var_sets_cache_and_flag_wins(self, runner, tmp_path):
         env_cache = tmp_path / "envcache"

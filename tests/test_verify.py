@@ -228,6 +228,48 @@ class TestDeviationTable:
         assert peak < dim * t * column
 
 
+class TestExactConstants:
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_zonal_rows_match_scipy(self, dim):
+        from scipy.special import eval_chebyt, eval_gegenbauer
+
+        rows = verify._zonal_coefficients(dim, 12)
+        s = np.linspace(-1.0, 1.0, 41)
+        for k, row in enumerate(rows):
+            # Horner in long double, as the rows are used
+            value = np.zeros_like(s, dtype=np.longdouble)
+            for c in row[::-1]:
+                value = value * s + c
+            if dim == 2:
+                expected = eval_chebyt(k, s)
+            else:
+                lam = (dim - 2) / 2
+                expected = eval_gegenbauer(k, lam, s) / eval_gegenbauer(k, lam, 1.0)
+            assert np.max(np.abs(value.astype(float) - expected)) <= 1e-13, (dim, k)
+
+    def test_cached_arrays_are_read_only(self):
+        moments, multinomials = verify._exact_constants(3, 4)
+        for array in (moments, multinomials, verify._zonal_coefficients(3, 4)):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
+
+
+class TestWorstEntry:
+    """Ties are real, and the first entry in order wins."""
+
+    def test_first_largest_monomial(self):
+        # the triangle at degree 3: (3, 0) and (1, 2) both deviate by exactly 0.25
+        report = verify_monomials(base_s1(2), 3, 1e-9)
+        assert report.max_abs_residual == 0.25
+        assert report.worst_monomial == MultiIndex((3, 0))
+
+    def test_first_largest_degree(self):
+        # the antipodal pair: the even degrees k = 2 and k = 4 both read 1.0
+        report = verify_gegenbauer(base_s1(1), 4, 1e-9)
+        assert report.max_abs_residual == 1.0
+        assert report.worst_degree == 2
+
+
 class TestAgreementAndInvariance:
     @pytest.mark.parametrize("n,t", [(2, 3), (3, 2), (3, 3), (4, 2)])
     def test_methods_agree_on_built_designs(self, built, n, t):
