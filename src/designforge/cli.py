@@ -283,11 +283,15 @@ def _load_design(path: Path, t: int) -> Design:
     text = _read_text(path)
     if not text.strip():
         raise InputError(f"parse error in {path}: file is empty")
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         data = _parse_json(path, text)
+        if not isinstance(data, dict):
+            raise InputError(f"parse error in {path}: a JSON design must be an object, got {type(data).__name__}")
         try:
             return Design.from_json_dict(data)
-        except (KeyError, ValueError, TypeError) as exc:
+        except KeyError as exc:
+            raise InputError(f"parse error in {path}: missing field {exc}")
+        except (ValueError, TypeError) as exc:
             raise InputError(f"parse error in {path}: {exc}")
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):

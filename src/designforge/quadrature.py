@@ -5,8 +5,10 @@ average (1/K) sum p(t_k) reproduces the normalized integral of every
 polynomial p up to some degree t.  No closed-form construction is known, so
 `solve_equal_weight` searches numerically:
 
-  1. pick a trial K (starting at the Gaussian count ceil((t+1)/2), the
-     smallest K any degree-t rule can have);
+  1. pick a trial K: the ladder starts at the Gaussian count ceil((t+1)/2)
+     and grows x1.5 (step 4), but every rung below `_fewest_nodes(w, t)`, a
+     proven lower bound on K from the Christoffel numbers (see there), is
+     passed over without an attempt, since no rule can exist there;
   2. start from the Gaussian rule, each node repeated in proportion to its
      weight (largest-remainder rounding), copies fanned out by SPREAD; if
      that fails, start from the (k - 1/2)/K quantiles of the weight.  No
@@ -298,13 +300,43 @@ def _levenberg_marquardt(
     return best_theta, best_max, iterations
 
 
+def _fewest_nodes(w: JacobiWeight, t: int) -> int:
+    """A proven lower bound on K for any equal-weight rule of degree t for w.
+
+    Let s = floor((t+1)/2), P_k the orthonormal polynomials of the unit-mass
+    weight, xi the largest zero of P_s, and W_first, W_last the end weights of
+    the s-point Gauss rule (divided by the mass).  Then K >= 1/min(W_first,
+    W_last):
+      1. The largest node is >= xi.  q(x) = (x - xi)(P_s(x)/(x - xi))^2 has
+         degree 2s - 1 <= t and integral 0.  If every node were below xi,
+         every q(x_i) would be <= 0, so every node would sit on the other
+         s - 1 zeros of P_s; but the square of their node polynomial has
+         degree 2s - 2 <= t and a positive integral, yet averages to 0.
+      2. At any node x, 1/K <= lambda_s(x) = 1 / sum_{k<s} P_k(x)^2: apply
+         the rule to p^2, where p is the Christoffel-Darboux kernel
+         polynomial with p(x) = 1 (degree 2s - 2 <= t).
+      3. On [xi, 1] every P_k with k < s is positive and increasing, so
+         lambda_s is largest at xi, where it equals W_last.  The left end is
+         the mirror image, with W_first.
+    The relative margin keeps attained bounds exact: Gauss-Chebyshev (weight
+    (1, 1)) is itself equal-weight, and (2, 2) at degree 3 has 1/W_last =
+    2.0000000000000004 in float64.
+    """
+    _, weights = gauss_rule(w, max(1, (t + 1) // 2))
+    end_weight = min(weights[0], weights[-1]) / w.mass
+    return math.ceil((1 - 1e-9) / end_weight)
+
+
 def solve_equal_weight(
     w: JacobiWeight, t: int, opts: SolverOptions | None = None
 ) -> tuple[Quadrature, QuadratureReport]:
     """Find a certified equal-weight quadrature of degree t for the weight w.
 
-    Raises NoConvergenceError (carrying the best attempt) if no K up to
-    opts.max_K reaches opts.tolerance.
+    K climbs the ladder ceil((t+1)/2), then x1.5 up to opts.max_K; rungs below
+    `_fewest_nodes(w, t)` are skipped, as no rule exists there.  Raises
+    NoConvergenceError (carrying the best attempt) if no K up to opts.max_K
+    reaches opts.tolerance; when the bound itself exceeds opts.max_K every
+    rung is still tried, and the message names the bound.
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
@@ -316,7 +348,14 @@ def solve_equal_weight(
         report = certify(q, opts.tolerance)
         return q, report
 
+    def grow(K):
+        return min(max(K + 1, math.ceil(K * 1.5)), opts.max_K)
+
     K = min(max(1, math.ceil((t + 1) / 2)), opts.max_K)
+    fewest = _fewest_nodes(w, t)
+    if fewest <= opts.max_K:
+        while K < fewest:
+            K = grow(K)
     total_iterations = 0
     best: tuple[Quadrature, QuadratureReport] | None = None
     while True:
@@ -332,14 +371,20 @@ def solve_equal_weight(
                 best = (q, report)
         if K >= opts.max_K:
             break
-        K = min(max(K + 1, math.ceil(K * 1.5)), opts.max_K)
+        K = grow(K)
 
     best_q, best_report = best
     best_report.iterations = total_iterations
+    why = ""
+    if fewest > opts.max_K:
+        why = (
+            f"; an equal-weight rule of degree {t} for weight (m={w.m}, n={w.n}) "
+            f"needs at least {fewest} nodes"
+        )
     raise NoConvergenceError(
         f"no equal-weight rule of degree {t} for weight (m={w.m}, n={w.n}) "
         f"within tolerance {opts.tolerance:g} up to K={opts.max_K}; "
-        f"best residual {best_report.max_abs_residual:.3e} at K={best_q.K}",
+        f"best residual {best_report.max_abs_residual:.3e} at K={best_q.K}{why}",
         best=best_q,
         report=best_report,
     )

@@ -279,6 +279,13 @@ class TestQuadratureCommand:
         data = json.loads(out.read_text())
         assert data["certified"] is False
 
+    def test_no_convergence_names_the_node_bound(self, runner, tmp_path):
+        out = tmp_path / "q.json"
+        result = runner.invoke(main, ["quadrature", "2", "1", "6", "-o", str(out), "--max-k", "5"])
+        assert result.exit_code == 1
+        assert json.loads(out.read_text())["certified"] is False
+        assert "needs at least 6 nodes" in result.stderr
+
     def test_degree_zero(self, runner):
         result = runner.invoke(main, ["quadrature", "3", "2", "0"])
         assert result.exit_code == 0 and "K=1" in result.output
@@ -614,6 +621,19 @@ class TestVerifyCommand:
         bad.write_text("1,0\n0,1,0\n")
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert_input_error(result, "ragged.csv at line 2: 3 values, expected 2")
+
+    def test_json_missing_field_is_named(self, runner, tmp_path):
+        bad = tmp_path / "d.json"
+        bad.write_text(json.dumps({"ambient_dim": 3, "count": 1, "points": [[1.0, 0.0, 0.0]]}))
+        result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
+        assert_input_error(result, "d.json: missing field 'degree'")
+
+    @pytest.mark.parametrize("text", ["[]", ' [[1.0, 0.0], [-1.0, 0.0]]\n'])
+    def test_json_array_is_not_read_as_csv(self, runner, tmp_path, text):
+        bad = tmp_path / "a.json"
+        bad.write_text(text)
+        result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
+        assert_input_error(result, "a.json: a JSON design must be an object, got list")
 
     def test_env_var_sets_cache_and_flag_wins(self, runner, tmp_path):
         env_cache = tmp_path / "envcache"

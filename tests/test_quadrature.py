@@ -17,7 +17,7 @@ from designforge import (
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 import designforge.quadrature as quadrature_module
-from designforge.quadrature import _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt
+from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt
 
 mp.mp.dps = 40
 
@@ -260,6 +260,56 @@ class TestSolveEqualWeight:
         # at K=48 only the weight-quantile start converges; without it the solve ends at K=72
         q, _ = solve_equal_weight(JacobiWeight(4, 2), 10)
         assert q.certified and q.K == 48
+
+
+class TestFewestNodes:
+    """The Christoffel bound on K, and the K ladder that skips below it."""
+
+    @pytest.mark.parametrize("s", range(1, 21))
+    def test_attained_by_gauss_chebyshev(self, s):
+        # the s-point Gauss-Chebyshev rule is itself equal-weight, so the
+        # bound is attained; the relative margin must keep it exact
+        assert _fewest_nodes(JacobiWeight(1, 1), 2 * s - 1) == s
+
+    def test_float_noise_above_an_integer_is_absorbed(self):
+        # 1 / W_last evaluates to 2.0000000000000004 here; K = 2 is the golden
+        assert _fewest_nodes(JacobiWeight(2, 2), 3) == 2
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_chebyshev_solve_stops_at_the_bound(self, s):
+        q, _ = solve_equal_weight(JacobiWeight(1, 1), 2 * s - 1)
+        assert q.certified and q.K == s
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_never_above_a_certified_K(self, m, n):
+        w = JacobiWeight(m, n)
+        for t in range(1, 9):
+            q, _ = solve_equal_weight(w, t)
+            assert q.certified and _fewest_nodes(w, t) <= q.K, t
+
+    @pytest.mark.parametrize("t,K", [(7, 14), (14, 41)])
+    def test_ladder_skips_to_the_first_rung_at_or_above_the_bound(self, monkeypatch, t, K):
+        # (2, 1): bound 10 at degree 7 on the ladder 4, 6, 9, 14; bound 29 at
+        # degree 14 on the ladder 8, 12, 18, 27, 41
+        attempts = []
+        real = quadrature_module._levenberg_marquardt
+
+        def recording(theta0, *args):
+            attempts.append(theta0)
+            return real(theta0, *args)
+
+        monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", recording)
+        w = JacobiWeight(2, 1)
+        q, _ = solve_equal_weight(w, t)
+        assert q.certified and q.K == K
+        assert len(attempts) == 1
+        assert np.array_equal(attempts[0], _init_gauss_multiplicity(w, t, K))
+
+    def test_error_is_silent_on_the_bound_when_max_K_allows_it(self):
+        with pytest.raises(NoConvergenceError) as err:
+            solve_equal_weight(JacobiWeight(2, 1), 7, SolverOptions(max_K=10, max_iterations=5))
+        assert "needs at least" not in str(err.value)
 
 
 class TestSolverOptions:
