@@ -1,4 +1,4 @@
-"""Quadrature caches, in memory and on disk, plus an index of achieved build sizes.
+"""Quadrature caches, in memory and on disk, plus a store of achieved build sizes.
 
 There is one lookup path over two stores.  `InMemoryQuadratureCache` holds
 the lookup and store logic; `QuadratureCache` is a subclass that changes only
@@ -8,15 +8,16 @@ tolerance magnitude reuse solves.  A bucket can hold a rule certified at a
 looser tolerance than the one asked for, so every hit is re-certified at the
 requested tolerance and served only if it passes; only certified rules are
 stored.  Disk writes are atomic (write a unique temp file, then rename) and
-idempotent: storing the same key twice leaves one file.  Recording a build
-holds a file lock across its read-modify-write of the size index;
-`read_build_index` reads it without creating anything.  Corrupt entries are
-ignored with a warning and rebuilt.
+idempotent: storing the same key twice leaves one file.  Each achieved build
+size is kept the same way, as a bare JSON integer in
+<root>/builds/<build_key>.json, so concurrent recorders never share a file
+and need no lock; the single-file index builds.json of earlier versions is
+not read.  `read_build_index` reads the sizes without creating anything.
+Corrupt entries are ignored with a warning and rebuilt.
 """
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import json
 import math
 import os
@@ -60,30 +61,28 @@ def key(m: int, n: int, t: int, tol: float) -> str:
     return f"m{m}_n{n}_t{t}_e{round(math.log10(tol))}"
 
 
-_BUILD_INDEX = "builds.json"
-
-
 def build_key(n: int, t: int) -> str:
-    """Key of a t-design on S^n in the size index."""
+    """Key of a t-design on S^n in the size store."""
     return f"n{n}_t{t}"
 
 
 def read_build_index(root: Path) -> dict[str, int]:
-    """The size index <root>/builds.json, read only.
+    """The sizes under <root>/builds, keyed by `build_key`, read only.
 
-    A missing file reads as empty; a corrupt one warns and reads as empty.
+    A missing directory reads as empty; a corrupt entry warns and is skipped.
+    The writer's temp files end in .tmp, so the glob never reads one.
     """
-    path = Path(root) / _BUILD_INDEX
-    if not path.exists():
-        return {}
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        data = None
-    if not isinstance(data, dict) or any(type(v) is not int for v in data.values()):
-        warnings.warn(f"ignoring corrupt build index {path}")
-        return {}
-    return data
+    index = {}
+    for path in sorted((Path(root) / "builds").glob("*.json")):
+        try:
+            size = json.loads(path.read_text())
+        except ValueError:
+            size = None
+        if type(size) is not int:
+            warnings.warn(f"ignoring corrupt build index entry {path}")
+            continue
+        index[path.stem] = size
+    return index
 
 
 class InMemoryQuadratureCache:
@@ -140,10 +139,6 @@ class QuadratureCache(InMemoryQuadratureCache):
     # -- achieved build cardinalities, consumed by the bounds table --------
 
     def record_build(self, n: int, t: int, cardinality: int) -> None:
-        # an exclusive lock on a sidecar file spans the read and the write, so
-        # concurrent recorders (threads or processes) never drop each other's entries
-        with open(self.root / (_BUILD_INDEX + ".lock"), "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            data = read_build_index(self.root)
-            data[build_key(n, t)] = cardinality
-            atomic_write_text(self.root / _BUILD_INDEX, dump_json(dict(sorted(data.items()))))
+        build_dir = self.root / "builds"
+        build_dir.mkdir(exist_ok=True)
+        atomic_write_text(build_dir / (build_key(n, t) + ".json"), dump_json(cardinality))

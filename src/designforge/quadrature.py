@@ -359,8 +359,9 @@ def solve_equal_weight(
     total_iterations = 0
     best: tuple[Quadrature, QuadratureReport] | None = None
     while True:
-        for theta0 in (_init_gauss_multiplicity(w, t, K), _init_quantile(w, K)):
-            theta, _, iters = _levenberg_marquardt(theta0, w, t, opts.tolerance, opts.max_iterations)
+        # each start is made only when reached: the quantile one imports scipy.special
+        for start in (lambda: _init_gauss_multiplicity(w, t, K), lambda: _init_quantile(w, K)):
+            theta, _, iters = _levenberg_marquardt(start(), w, t, opts.tolerance, opts.max_iterations)
             total_iterations += iters
             q = Quadrature(weight=w, degree=t, nodes=np.cos(theta))
             report = certify(q, opts.tolerance)

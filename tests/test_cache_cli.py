@@ -222,29 +222,43 @@ class TestBoundsCommand:
         assert not cache_dir.exists()
 
 
+def _write_size_entry(cache_dir, name, content):
+    (cache_dir / "builds").mkdir(parents=True, exist_ok=True)
+    (cache_dir / "builds" / f"{name}.json").write_text(content)
+
+
 @pytest.mark.parametrize("content", ["[]", '{"n2_t1": "x"}'])
 class TestCorruptBuildIndex:
-    """Valid JSON that is not an object of integers is a corrupt index."""
+    """Valid JSON that is not an integer is a corrupt size entry."""
 
     def test_bounds_warns_and_shows_no_size(self, runner, tmp_path, content):
-        (tmp_path / "builds.json").write_text(content)
+        _write_size_entry(tmp_path, "n2_t1", content)
         with pytest.warns(UserWarning, match="corrupt build index"):
             result = runner.invoke(main, ["bounds", "2", "2", "--format", "json", "--cache-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None, None]
 
     def test_build_writes_outputs_and_a_fresh_index(self, runner, tmp_path, content):
+        # recording a size never reads the entry it replaces, so the build does not warn
         cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "builds.json").write_text(content)
+        _write_size_entry(cache_dir, "n2_t1", content)
         out, report = tmp_path / "d.json", tmp_path / "r.json"
         args = ["build", "2", "1", "--cache-dir", str(cache_dir), "-o", str(out), "--report-out", str(report)]
-        with pytest.warns(UserWarning, match="corrupt build index"):
-            result = runner.invoke(main, args)
+        result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["degree"] == 1
         total = json.loads(report.read_text())["total_points"]
-        assert json.loads((cache_dir / "builds.json").read_text()) == {"n2_t1": total}
+        assert json.loads((cache_dir / "builds" / "n2_t1.json").read_text()) == total
+        result = runner.invoke(main, ["bounds", "2", "1", "--format", "json", "--cache-dir", str(cache_dir)])
+        assert json.loads(result.output)["rows"][0]["achieved"] == total
+
+    def test_corrupt_entry_hides_only_its_own_row(self, runner, tmp_path, content):
+        _write_size_entry(tmp_path, "n2_t1", content)
+        QuadratureCache(tmp_path).record_build(2, 2, 6)
+        with pytest.warns(UserWarning, match="corrupt build index"):
+            result = runner.invoke(main, ["bounds", "2", "2", "--format", "json", "--cache-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None, 6]
 
 
 class TestQuadratureCommand:
@@ -483,8 +497,12 @@ def test_click_parameter_error_is_one_line(runner, tmp_path, monkeypatch, args, 
         (["build", "2", "-1"], "invalid plan: degree must be >= 0, got -1"),
         (["quadrature", "-1", "1", "2"], "M must be >= 1, got -1"),
         (["build", "2", "3", "--bogus"], "--bogus"),
+        (["bounds", "2", "-3"], "T_MAX must be >= 0, got -3"),
     ],
-    ids=["build-negative-dim", "build-negative-degree", "quadrature-negative-m", "build-unknown-option"],
+    ids=[
+        "build-negative-dim", "build-negative-degree", "quadrature-negative-m", "build-unknown-option",
+        "bounds-negative-t-max",
+    ],
 )
 def test_negative_number_reaches_range_check(runner, args, message):
     assert_input_error(runner.invoke(main, args), message)
@@ -537,25 +555,10 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", str(s2_design_file), "-t", "-1"])
         assert_input_error(result, "degree must be >= 0")
 
-    def test_gegenbauer_on_ambient_one_exits_2(self, runner, tmp_path):
-        pair = tmp_path / "pair.csv"
-        pair.write_text("1.0\n-1.0\n")
-        result = runner.invoke(main, ["verify", str(pair), "-t", "1", "--method", "gegenbauer"])
-        assert_input_error(result, "needs ambient dimension >= 2")
-
     def test_fail_above_built_degree(self, runner, s2_design_file):
         # the 4-point set averages x^2 to 2/3, not 1/3
         result = runner.invoke(main, ["verify", str(s2_design_file), "-t", "2"])
         assert result.exit_code == 1
-
-    def test_method_selection_and_json(self, runner, s2_design_file):
-        result = runner.invoke(
-            main,
-            ["verify", str(s2_design_file), "-t", "1", "--method", "monomial", "--format", "json"],
-        )
-        assert result.exit_code == 0
-        data = json.loads(result.output)
-        assert [r["method"] for r in data] == ["monomial"]
 
     def test_both_methods_json_serializable(self, runner, s2_design_file):
         result = runner.invoke(

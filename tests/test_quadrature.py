@@ -256,6 +256,13 @@ class TestSolveEqualWeight:
         assert err.value.report.max_abs_residual == err.value.best.max_abs_residual
         assert err.value.report.iterations == sum(iters for _, iters in attempts)
 
+    def test_quantile_start_made_only_when_reached(self, monkeypatch):
+        made = []
+        real = quadrature_module._init_quantile
+        monkeypatch.setattr(quadrature_module, "_init_quantile", lambda *args: made.append(args) or real(*args))
+        q, _ = solve_equal_weight(JacobiWeight(2, 1), 7)
+        assert q.certified and made == []
+
     def test_quantile_start_certifies_where_gauss_fails(self):
         # at K=48 only the weight-quantile start converges; without it the solve ends at K=72
         q, _ = solve_equal_weight(JacobiWeight(4, 2), 10)
