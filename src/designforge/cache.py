@@ -21,30 +21,21 @@ import contextlib
 import json
 import math
 import os
-import tempfile
+import secrets
 import warnings
 from pathlib import Path
 
 from .quadrature import Quadrature, certify
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# mkstemp creates files 0600; give written files the mode open() would have
-_FILE_MODE = 0o666 & ~_umask()
-
-
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file unique to this writer, so concurrent writers never share one."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """Write via a temp file unique to this writer, so concurrent writers never
+    share one; it is created as open() creates a file, so the current umask applies."""
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -13,6 +13,7 @@ commands with identical cache state produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -66,8 +67,13 @@ def _finite(ctx, param, value):
 
 
 def _writable(ctx, param, value):
-    if value is not None and not value.parent.is_dir():
+    if value is None:
+        return value
+    if not value.parent.is_dir():
         raise InputError(f"{_name(param)} {value}: {value.parent} is not a directory")
+    # the write would replace a FIFO with a file, or fail on a directory (click reads "" as ".")
+    if value.exists() and not value.is_file():
+        raise InputError(f"{_name(param)} {value}: exists and is not a regular file")
     return value
 
 
@@ -88,15 +94,19 @@ _cache_dir_option = click.option(
 
 
 def _solver_flags(command):
-    """--tol-quad, --max-k, --max-iter and --seed, shared by `quadrature` and `build`."""
+    """--tol-quad, --max-k and --seed of `quadrature` and `build`, passed on as one SolverOptions `opts`."""
+
+    @functools.wraps(command)
+    def with_opts(tol_quad, max_k, seed, **kwargs):
+        return command(opts=SolverOptions(tolerance=tol_quad, max_K=max_k, seed=seed), **kwargs)
+
     for option in reversed([
         click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive),
         click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1)),
-        click.option("--max-iter", type=int, default=300, show_default=True, callback=_at_least(1)),
         click.option("--seed", type=int, default=0, show_default=True, help="Ignored: the solver is deterministic."),
     ]):
-        command = option(command)
-    return command
+        with_opts = option(with_opts)
+    return with_opts
 
 
 # bare `designforge` prints the help text; click >= 8.2 does it by raising this
@@ -177,10 +187,9 @@ def bounds(n, t_max, fmt, cache_dir):
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)
 @_solver_flags
 @_cache_dir_option
-def quadrature(m, n, t, output, tol_quad, max_k, max_iter, seed, cache_dir):
+def quadrature(m, n, t, output, opts, cache_dir):
     """Solve (or load) an equal-weight rule of degree T for the (M, N) weight."""
     cache = _open_cache(cache_dir) or InMemoryQuadratureCache()
-    opts = SolverOptions(tolerance=tol_quad, max_iterations=max_iter, max_K=max_k, seed=seed)
     exit_code = 0
     try:
         q = solve_cached(m, n, t, opts, cache)
@@ -213,7 +222,7 @@ def _design_csv(design: Design) -> str:
 @click.option("--phase", type=float, default=0.0, show_default=True, callback=_finite, help="Rotation of polygon leaves (radians).")
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None, help="JSON file mapping ambient dims to [m, n] split overrides.")
 @_cache_dir_option
-def build_cmd(n, t, output, report_out, fmt, tol_quad, max_k, max_iter, seed, tol_design, phase, plan_file, cache_dir):
+def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file, cache_dir):
     """Plan, build, and verify a degree-T design on S^N."""
     overrides = _load_plan(plan_file) if plan_file else None
     try:
@@ -221,7 +230,6 @@ def build_cmd(n, t, output, report_out, fmt, tol_quad, max_k, max_iter, seed, to
     except ValueError as exc:
         raise InputError(f"invalid plan: {exc}")
     cache = _open_cache(cache_dir)
-    opts = SolverOptions(tolerance=tol_quad, max_iterations=max_iter, max_K=max_k, seed=seed)
     try:
         design, report = build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
     except (BuildError, NoConvergenceError) as exc:

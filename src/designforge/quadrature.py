@@ -15,11 +15,12 @@ polynomial p up to some degree t.  No closed-form construction is known, so
      other start certified in a survey of 866 solves, so nothing is random;
   3. run Levenberg-Marquardt on the residuals of the orthonormal-polynomial
      averages, parameterizing t_k = cos(theta_k) so nodes can never leave
-     [-1, 1].  An attempt ends early once the best max|r| has gone 30
-     iterations without falling by 1%: on a K too small for degree t the
-     residual plateaus around 1e-1..1e-2, while attempts that converge
-     (surveyed over weights up to (4, 4), t <= 16 and three seeds) never went
-     more than 11 iterations without such a gain;
+     [-1, 1].  An attempt ends on one of three rules: max|r| reaches the
+     target; the best max|r| has gone 30 iterations without falling by 1%
+     (on a K too small for degree t the residual plateaus around
+     1e-1..1e-2, while attempts that converge, surveyed over weights up to
+     (4, 4), t <= 16 and three seeds, never went more than 11 iterations
+     without such a gain); or the fixed cap of MAX_ITERATIONS = 300;
   4. when both fail, grow K geometrically (x1.5, rounded up) and retry up to
      max_K, then raise NoConvergenceError with the closest attempt's report.
 
@@ -42,6 +43,8 @@ from .moments import JacobiWeight
 # (relative) in STALL_WINDOW iterations; see step 3 of the module docstring.
 STALL_GAIN = 0.01
 STALL_WINDOW = 30
+# Every LM attempt ends after at most this many iterations.
+MAX_ITERATIONS = 300
 # Fan-out of the Gaussian start's repeated nodes, in units of pi/K radians.
 SPREAD = 0.05
 
@@ -71,18 +74,16 @@ def decode_floats(data: dict, field: str) -> np.ndarray:
 
 @dataclass
 class SolverOptions:
-    """Solver settings; `seed` is accepted and ignored (nothing is random)."""
+    """Solver settings; each LM attempt stops after MAX_ITERATIONS, a constant.
+    `seed` is accepted and ignored (nothing is random)."""
 
     tolerance: float = 1e-12
-    max_iterations: int = 300
     max_K: int = 512
     seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.max_K < 1:
             raise ValueError("max_K must be >= 1")
 
@@ -238,13 +239,13 @@ def _levenberg_marquardt(
     w: JacobiWeight,
     degree: int,
     tol: float,
-    max_iterations: int,
 ) -> tuple[np.ndarray, float, int]:
     """Minimize the residual vector over node angles; returns (theta, max|r|, iters).
 
     Marquardt-scaled damping; the target is pushed below tol so the
-    extended-precision re-certification has headroom.  Gives up early on a
-    stalled attempt (STALL_GAIN, STALL_WINDOW).
+    extended-precision re-certification has headroom.  Stops at the target,
+    on a stall (STALL_GAIN, STALL_WINDOW) or after MAX_ITERATIONS; a
+    singular step system only raises the damping.
     """
     target = 0.05 * tol
     K = theta.size
@@ -261,7 +262,7 @@ def _levenberg_marquardt(
     iterations = 0
     best_theta, best_max = theta.copy(), float(np.max(np.abs(r)))
     mark, stalled = best_max, 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         max_r = float(np.max(np.abs(r)))
         if max_r < best_max:
             best_max, best_theta = max_r, theta.copy()
@@ -288,12 +289,8 @@ def _levenberg_marquardt(
         if np.linalg.norm(r_trial) < np.linalg.norm(r):
             theta, r, jac = trial, r_trial, jac_trial
             lam = max(lam / 3.0, 1e-14)
-            if np.linalg.norm(step) < 1e-15:
-                break
         else:
             lam *= 4.0
-            if lam > 1e13:
-                break
     max_r = float(np.max(np.abs(r)))
     if max_r < best_max:
         best_max, best_theta = max_r, theta.copy()
@@ -361,7 +358,7 @@ def solve_equal_weight(
     while True:
         # each start is made only when reached: the quantile one imports scipy.special
         for start in (lambda: _init_gauss_multiplicity(w, t, K), lambda: _init_quantile(w, K)):
-            theta, _, iters = _levenberg_marquardt(start(), w, t, opts.tolerance, opts.max_iterations)
+            theta, _, iters = _levenberg_marquardt(start(), w, t, opts.tolerance)
             total_iterations += iters
             q = Quadrature(weight=w, degree=t, nodes=np.cos(theta))
             report = certify(q, opts.tolerance)

@@ -1,6 +1,7 @@
 """Disk cache semantics, file formats, CLI behavior, and determinism."""
 import json
 import os
+import stat
 import sys
 import threading
 
@@ -153,6 +154,16 @@ class TestQuadratureCache:
 
 
 class TestAtomicWrite:
+    def test_mode_follows_the_umask_at_write_time(self, tmp_path):
+        path = tmp_path / "f.json"
+        old = os.umask(0o077)
+        try:
+            atomic_write_text(path, "{}\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_concurrent_writers(self, tmp_path):
         # more writers than cores, all replacing one file; with a shared temp
         # name a writer's rename finds its temp file already moved away
@@ -283,12 +294,10 @@ class TestQuadratureCommand:
         assert first.exit_code == 0 and second.exit_code == 0
         assert first.output == second.output
 
-    def test_no_convergence_nonzero_exit_and_best_effort_file(self, runner, tmp_path):
+    def test_no_convergence_nonzero_exit_and_best_effort_file(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("designforge.quadrature.MAX_ITERATIONS", 60)
         out = tmp_path / "q.json"
-        result = runner.invoke(
-            main,
-            ["quadrature", "2", "1", "6", "-o", str(out), "--max-k", "5", "--max-iter", "60"],
-        )
+        result = runner.invoke(main, ["quadrature", "2", "1", "6", "-o", str(out), "--max-k", "5"])
         assert result.exit_code == 1
         data = json.loads(out.read_text())
         assert data["certified"] is False
@@ -315,12 +324,11 @@ class TestQuadratureCommand:
         (["build", "2", "3", "--tol-quad", "nan"], "--tol-quad must be a finite number > 0"),
         (["quadrature", "2", "1", "3", "--tol-quad", "inf"], "--tol-quad must be a finite number > 0"),
         (["build", "2", "3", "--tol-design", "-1"], "--tol-design must be a finite number > 0"),
-        (["build", "2", "3", "--max-iter", "-1"], "--max-iter must be >= 1"),
         (["quadrature", "2", "1", "3", "--max-k", "0"], "--max-k must be >= 1"),
         (["build", "2", "3", "--phase", "inf"], "--phase must be a finite number"),
     ],
     ids=["build-tol-quad-inf", "build-tol-quad-nan", "quadrature-tol-quad-inf", "build-tol-design-negative",
-         "build-max-iter-negative", "quadrature-max-k-zero", "build-phase-inf"],
+         "quadrature-max-k-zero", "build-phase-inf"],
 )
 def test_bad_solver_or_tolerance_option_exits_2(runner, args, message):
     assert_input_error(runner.invoke(main, args), message)
@@ -462,14 +470,22 @@ class TestBuildCommand:
         (["build", "2", "1", "--report-out", "missing/r.json"], "--report-out missing/r.json: missing is not a directory"),
         (["quadrature", "2", "1", "1", "-o", "missing/q.json"], "--output missing/q.json: missing is not a directory"),
         (["build", "2", "1", "--cache-dir", "file/cache"], "--cache-dir file/cache: Not a directory"),
+        # click reads "" as "."
+        (["build", "2", "1", "-o", ""], "--output .: exists and is not a regular file"),
+        (["build", "2", "1", "-o", "fifo"], "--output fifo: exists and is not a regular file"),
+        (["build", "2", "1", "--report-out", "fifo"], "--report-out fifo: exists and is not a regular file"),
+        (["quadrature", "2", "1", "1", "-o", "fifo"], "--output fifo: exists and is not a regular file"),
     ],
-    ids=["build-output", "build-report-out", "quadrature-output", "cache-dir-under-file"],
+    ids=["build-output", "build-report-out", "quadrature-output", "cache-dir-under-file",
+         "build-output-empty", "build-output-fifo", "build-report-out-fifo", "quadrature-output-fifo"],
 )
 def test_unwritable_path_exits_2_before_solving(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
+    os.mkfifo(tmp_path / "fifo")
     monkeypatch.setattr("designforge.construct.solve_equal_weight", None)  # any solve would fail loudly
     assert_input_error(runner.invoke(main, args), message)
+    assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)  # not replaced by a regular file
 
 
 @pytest.mark.parametrize(

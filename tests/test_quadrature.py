@@ -115,13 +115,13 @@ class TestStallRule:
         # residual plateaus and every init used to run all 300 iterations
         w = JacobiWeight(2, 1)
         for theta0 in self._inits(w, 10, 6):
-            _, max_r, iters = _levenberg_marquardt(theta0, w, 10, 1e-12, 300)
+            _, max_r, iters = _levenberg_marquardt(theta0, w, 10, 1e-12)
             assert max_r > 1e-3
             assert iters < 100
 
     def test_succeeding_attempt_still_converges(self):
         w = JacobiWeight(2, 1)
-        theta, max_r, _ = _levenberg_marquardt(_init_gauss_multiplicity(w, 10, 21), w, 10, 1e-12, 300)
+        theta, max_r, _ = _levenberg_marquardt(_init_gauss_multiplicity(w, 10, 21), w, 10, 1e-12)
         assert max_r <= 0.05 * 1e-12
         q = Quadrature(weight=w, degree=10, nodes=np.cos(theta))
         certify(q, 1e-12)
@@ -223,9 +223,10 @@ class TestSolveEqualWeight:
         certify(doubled, q.tolerance)
         assert doubled.certified and doubled.K == 2 * q.K
 
-    def test_no_convergence_carries_best_attempt(self):
+    def test_no_convergence_carries_best_attempt(self, monkeypatch):
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 60)
         with pytest.raises(NoConvergenceError) as err:
-            solve_equal_weight(JacobiWeight(2, 1), 6, SolverOptions(max_K=5, max_iterations=60))
+            solve_equal_weight(JacobiWeight(2, 1), 6, SolverOptions(max_K=5))
         assert err.value.best.K <= 5
         assert err.value.report.max_abs_residual > 1e-12
 
@@ -243,11 +244,14 @@ class TestSolveEqualWeight:
             return result
 
         monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", recording)
+        # uncapped, the first attempt stalls after 53 iterations; the cap is read at call time
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 40)
         w = JacobiWeight(2, 1)
         with pytest.raises(NoConvergenceError) as err:
-            solve_equal_weight(w, 6, SolverOptions(max_K=5, max_iterations=60))
+            solve_equal_weight(w, 6, SolverOptions(max_K=5))
         Ks = [4, 5]  # ceil(7/2), then x1.5 capped at max_K
         assert len(attempts) == 2 * len(Ks)
+        assert max(iters for _, iters in attempts) == 40
         for K, gauss, quantile in zip(Ks, attempts[::2], attempts[1::2]):
             assert np.array_equal(gauss[0], _init_gauss_multiplicity(w, 6, K))
             assert np.array_equal(quantile[0], _init_quantile(w, K))
@@ -313,16 +317,17 @@ class TestFewestNodes:
         assert len(attempts) == 1
         assert np.array_equal(attempts[0], _init_gauss_multiplicity(w, t, K))
 
-    def test_error_is_silent_on_the_bound_when_max_K_allows_it(self):
+    def test_error_is_silent_on_the_bound_when_max_K_allows_it(self, monkeypatch):
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 5)
         with pytest.raises(NoConvergenceError) as err:
-            solve_equal_weight(JacobiWeight(2, 1), 7, SolverOptions(max_K=10, max_iterations=5))
+            solve_equal_weight(JacobiWeight(2, 1), 7, SolverOptions(max_K=10))
         assert "needs at least" not in str(err.value)
 
 
 class TestSolverOptions:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tolerance": math.inf}, {"tolerance": math.nan}, {"tolerance": 0.0}, {"max_iterations": 0}, {"max_K": 0}],
+        [{"tolerance": math.inf}, {"tolerance": math.nan}, {"tolerance": 0.0}, {"tolerance": -1e-12}, {"max_K": 0}],
     )
     def test_rejects_unusable_settings(self, kwargs):
         with pytest.raises(ValueError):
