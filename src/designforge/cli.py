@@ -141,11 +141,21 @@ def main():
     """Build and certify averaging point sets on spheres."""
 
 
-# `-1` reaches its argument's range check; an unknown option is an extra argument
-_NUMBERS_MAY_BE_NEGATIVE = {"ignore_unknown_options": True}
+class _SignedArguments(click.Command):
+    """Reads `-1` as an argument, so it reaches the argument's range check.
+
+    click reads `-1` as an unknown option.  A strict parse with such numbers
+    masked reports every other unknown option as click does; the real parse
+    then passes the unknown options, now only numbers, on as arguments.
+    """
+
+    def parse_args(self, ctx, args):
+        self.make_parser(ctx).parse_args(["0" if arg[:1] == "-" and arg[1:2].isdigit() else arg for arg in args])
+        ctx.ignore_unknown_options = True
+        return super().parse_args(ctx, args)
 
 
-@main.command(context_settings=_NUMBERS_MAY_BE_NEGATIVE)
+@main.command(cls=_SignedArguments)
 @click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t_max", type=int, callback=_at_least(0))
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
@@ -180,7 +190,7 @@ def bounds(n, t_max, fmt, cache_dir):
         )
 
 
-@main.command(context_settings=_NUMBERS_MAY_BE_NEGATIVE)
+@main.command(cls=_SignedArguments)
 @click.argument("m", type=int, callback=_at_least(1))
 @click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t", type=int, callback=_at_least(0))
@@ -211,7 +221,7 @@ def _design_csv(design: Design) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command("build", context_settings=_NUMBERS_MAY_BE_NEGATIVE)
+@main.command("build", cls=_SignedArguments)
 @click.argument("n", type=int)
 @click.argument("t", type=int)
 @click.option("-o", "--output", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)

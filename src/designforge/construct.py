@@ -25,6 +25,7 @@ record the worst residual of its certificates in the node's report.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -83,12 +84,11 @@ class Design:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
-        design = cls(
-            ambient_dim=int(data["ambient_dim"]),
-            degree=int(data["degree"]),
-            points=decode_floats(data, "points"),
-        )
-        if design.count != int(data["count"]):
+        for name in ("ambient_dim", "degree", "count"):
+            if type(data[name]) is not int:  # also rejects a bool, which is an int to Python
+                raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
+        design = cls(ambient_dim=data["ambient_dim"], degree=data["degree"], points=decode_floats(data, "points"))
+        if design.count != data["count"]:
             raise ValueError(f"point count {design.count} does not match recorded count={data['count']}")
         return design
 

@@ -19,40 +19,24 @@ from fractions import Fraction
 from typing import Iterator
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of a multivariate monomial x_1^a_1 ... x_d^a_d."""
+class MultiIndex(tuple):
+    """Exponent vector (a_1, ..., a_d) of the monomial x_1^a_1 ... x_d^a_d.
 
-    exponents: tuple[int, ...]
+    A tuple of non-negative ints, checked once when made; it compares, hashes
+    and indexes as the plain tuple, so MultiIndex((3, 0)) == (3, 0).
+    """
 
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+    __slots__ = ()
+
+    def __new__(cls, exponents):
+        exps = super().__new__(cls, map(int, exponents))
         if any(e < 0 for e in exps):
             raise ValueError(f"exponents must be non-negative, got {exps}")
-        object.__setattr__(self, "exponents", exps)
+        return exps
 
     @property
     def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def all_even(self) -> bool:
-        return all(e % 2 == 0 for e in self.exponents)
-
-    def half(self) -> "MultiIndex":
-        """Halve every exponent; defined only when all exponents are even."""
-        if not self.all_even:
-            raise ValueError(f"half() requires all-even exponents, got {self.exponents}")
-        return MultiIndex(tuple(e // 2 for e in self.exponents))
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __getitem__(self, i):
-        return self.exponents[i]
+        return sum(self)
 
 
 @dataclass(frozen=True)
@@ -117,12 +101,10 @@ def sphere_monomial_moment(dim: int, alpha: MultiIndex) -> Fraction:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if len(alpha) != dim:
         raise ValueError(f"multi-index has {len(alpha)} entries, expected {dim}")
-    if not alpha.all_even:
+    if any(a % 2 for a in alpha):
         return Fraction(0)
-    beta = alpha.half()
-    total = beta.degree
-    out = Fraction(1) / _rising(Fraction(dim, 2), total)
-    for b in beta:
+    out = Fraction(1) / _rising(Fraction(dim, 2), alpha.degree // 2)
+    for b in (a // 2 for a in alpha):
         out *= Fraction(math.factorial(2 * b), 4**b * math.factorial(b))
     return out
 

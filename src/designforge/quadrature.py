@@ -50,6 +50,8 @@ SPREAD = 0.05
 
 
 def _each(fn, values: list) -> list:
+    if isinstance(values, str):  # would map over its characters
+        raise TypeError("expected a list of numbers, got a string")
     if values and isinstance(values[0], list):
         return [_each(fn, v) for v in values]
     return list(map(fn, values))

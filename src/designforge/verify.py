@@ -8,8 +8,9 @@ Both criteria read one table.  For every monomial x^alpha of total degree
 of the point average from the exact rational sphere moment mu_alpha.
 Averages are accumulated in extended precision with pairwise reduction, so
 each deviation is exact to well under one double ulp.  The exact constants
-(these moments, and the multinomials and zonal coefficients below) are
-converted once per (d, t), on first use, and shared read-only.
+(the exponents alpha in graded order, these moments, and the multinomials and
+zonal coefficients below) are made once per (d, t), on first use, and shared
+read-only.
 
 The table is filled by a depth-first walk over the coordinates of N points in
 R^d.  The product x_0^a_0 ... x_c^a_c is formed once and shared by every
@@ -80,7 +81,7 @@ class VerificationReport:
         """Fields in declaration order, skipping those that are None."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         if self.worst_monomial is not None:
-            out["worst_monomial"] = list(self.worst_monomial.exponents)
+            out["worst_monomial"] = list(self.worst_monomial)
         return out
 
 
@@ -155,8 +156,8 @@ def _moment_deviations(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]
     ]
     sums = {}
     _walk(pts, tables, scratch, 0, t, None, (), sums)
-    moments, _ = _exact_constants(dim, t)
-    return [(alpha, sums[alpha.exponents] / count - mu) for alpha, mu in zip(iter_multi_indices(dim, t), moments)]
+    alphas, moments, _ = _exact_constants(dim, t)
+    return [(alpha, sums[alpha] / count - mu) for alpha, mu in zip(alphas, moments)]
 
 
 def _first_largest(values) -> tuple[int, float]:
@@ -201,18 +202,19 @@ def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
 
 
 @cache
-def _exact_constants(dim: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only sphere moments and multinomials |alpha|!/alpha! for |alpha| <= t,
-    in the order of `iter_multi_indices`."""
-    alphas = list(iter_multi_indices(dim, t))
+def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarray, np.ndarray]:
+    """Every alpha with |alpha| <= t in the order of `iter_multi_indices`, and
+    the read-only sphere moments and multinomials |alpha|!/alpha! in that order."""
+    alphas = tuple(iter_multi_indices(dim, t))
     return (
+        alphas,
         _read_only([sphere_monomial_moment(dim, alpha) for alpha in alphas]),
         _read_only([math.factorial(alpha.degree) // math.prod(map(math.factorial, alpha)) for alpha in alphas]),
     )
 
 
 def _gegenbauer_report(deviations, dim: int, t: int, tol: float) -> VerificationReport:
-    _, multinomials = _exact_constants(dim, t)
+    _, _, multinomials = _exact_constants(dim, t)
     squares = np.zeros(t + 1, dtype=np.longdouble)
     for (alpha, delta), weight in zip(deviations, multinomials):
         squares[alpha.degree] += weight * delta * delta

@@ -5,6 +5,7 @@ import stat
 import sys
 import threading
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -524,6 +525,17 @@ def test_negative_number_reaches_range_check(runner, args, message):
     assert_input_error(runner.invoke(main, args), message)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["build", "2", "3", "--bogus", "1"], ["build", "--bogus", "2", "3"], ["bounds", "2", "-3", "--bogus"]],
+    ids=["build-after-arguments", "build-before-arguments", "bounds-after-negative"],
+)
+def test_unknown_option_is_named_as_click_names_it(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output == f"Error: {click.NoSuchOption('--bogus').format_message()}\n"
+
+
 class TestReportLayout:
     """Key order of the report files; `to_json_dict` writes them in this order."""
 
@@ -646,6 +658,24 @@ class TestVerifyCommand:
         bad.write_text(json.dumps({"ambient_dim": 3, "count": 1, "points": [[1.0, 0.0, 0.0]]}))
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert_input_error(result, "d.json: missing field 'degree'")
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"points": [[1, 0], "01"]}, "expected a list of numbers, got a string"),
+            ({"ambient_dim": 1, "count": 1, "points": "1"}, "expected a list of numbers, got a string"),
+            ({"points_hex": "0x1p+0"}, "expected a list of numbers, got a string"),
+            ({"ambient_dim": 2.7}, "ambient_dim must be an integer, got 2.7"),
+            ({"degree": "1"}, 'degree must be an integer, got "1"'),
+            ({"count": True}, "count must be an integer, got true"),
+        ],
+        ids=["string-row", "string-points", "string-hex", "float-dim", "string-degree", "bool-count"],
+    )
+    def test_json_field_of_wrong_type_is_parse_error(self, runner, tmp_path, fields, message):
+        bad = tmp_path / "d.json"
+        bad.write_text(json.dumps({"ambient_dim": 2, "degree": 1, "count": 2, "points": [[1, 0], [-1, 0]], **fields}))
+        result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
+        assert_input_error(result, f"d.json: {message}")
 
     @pytest.mark.parametrize("text", ["[]", ' [[1.0, 0.0], [-1.0, 0.0]]\n'])
     def test_json_array_is_not_read_as_csv(self, runner, tmp_path, text):

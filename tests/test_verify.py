@@ -247,8 +247,22 @@ class TestExactConstants:
                 expected = eval_gegenbauer(k, lam, s) / eval_gegenbauer(k, lam, 1.0)
             assert np.max(np.abs(value.astype(float) - expected)) <= 1e-13, (dim, k)
 
+    def test_indices_enumerated_once_per_dim_and_degree(self, monkeypatch):
+        calls = []
+        enumerate_indices = verify.iter_multi_indices
+
+        def counted(dim, t):
+            calls.append((dim, t))
+            return enumerate_indices(dim, t)
+
+        monkeypatch.setattr(verify, "iter_multi_indices", counted)
+        verify._exact_constants.cache_clear()
+        verify_design(base_s1(4), 3, 1e-9)
+        verify_design(base_s1(6), 3, 1e-9)
+        assert calls == [(2, 3)]
+
     def test_cached_arrays_are_read_only(self):
-        moments, multinomials = verify._exact_constants(3, 4)
+        _, moments, multinomials = verify._exact_constants(3, 4)
         for array in (moments, multinomials, verify._zonal_coefficients(3, 4)):
             with pytest.raises(ValueError):
                 array.flat[0] = 1
