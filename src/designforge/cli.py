@@ -337,7 +337,9 @@ def _load_design(path: Path, t: int) -> Design:
 @click.option("--tol", type=float, default=1e-9, show_default=True, callback=_positive)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(design_file, degree, tol, fmt):
-    """Certify a point file at degree T exactly as `build` does; exit 1 unless all pass."""
+    """Certify a point file at degree T with the certificates `build` applies;
+    exit 1 unless all pass.  The points are read directly, so a residual can
+    differ from the build report's in its last bits."""
     design = _load_design(design_file, degree)
     reports = verify_design(design, degree, tol)
     if fmt == "json":

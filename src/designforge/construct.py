@@ -48,11 +48,16 @@ class Design:
     Points are stored in extended precision; every row must have unit norm
     within 1e-12.  Whether the multiset actually averages polynomials of
     degree <= t correctly is certified by the verify module, never assumed.
+    The leaves and `product` make their points read-only.
     """
 
     ambient_dim: int
     degree: int
     points: np.ndarray
+    # set by `product`: what the points were made from, for the verifier
+    _factors: _verify.Factors | None = field(default=None, init=False, repr=False, compare=False)
+    # the verifier's table of averages, kept while the points are read-only
+    _averages: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.longdouble))
@@ -60,7 +65,7 @@ class Design:
             raise ValueError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if pts.shape[0] < 1 or pts.shape[1] != self.ambient_dim:
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != self.ambient_dim:
             raise ValueError(
                 f"points must be a non-empty (N, {self.ambient_dim}) array, got {pts.shape}"
             )
@@ -98,7 +103,7 @@ def base_s0(t: int) -> Design:
     every odd power to 0, hence a t-design for all t."""
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
-    return Design(ambient_dim=1, degree=t, points=np.array([[1.0], [-1.0]]))
+    return Design(ambient_dim=1, degree=t, points=_read_only(np.array([[1], [-1]], dtype=np.longdouble)))
 
 
 def base_s1(t: int, phase: float = 0.0) -> Design:
@@ -114,7 +119,7 @@ def base_s1(t: int, phase: float = 0.0) -> Design:
         raise ValueError(f"degree must be >= 0, got {t}")
     j = np.arange(t + 1, dtype=np.longdouble)
     theta = 2 * _PI * j / np.longdouble(t + 1) + np.fmod(np.longdouble(phase), 2 * _PI)
-    return Design(ambient_dim=2, degree=t, points=np.column_stack([np.cos(theta), np.sin(theta)]))
+    return Design(ambient_dim=2, degree=t, points=_read_only(np.column_stack([np.cos(theta), np.sin(theta)])))
 
 
 def product(X: Design, Y: Design, T: Quadrature) -> Design:
@@ -127,6 +132,10 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
     only monomials whose exponents are all even, so a monomial of degree d
     becomes a polynomial of degree <= d/2 in the node.  T must be certified:
     a hand-made rule can be marked `certified=True` by its maker.
+
+    The output's points are read-only.  When the factors' points are
+    read-only too, the output keeps its factors and scales, so the verifier
+    reads its moments off theirs instead of walking its K*M*N points.
     """
     m, n = T.weight.m, T.weight.n
     if X.ambient_dim != m:
@@ -137,15 +146,21 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
         raise ValueError("quadrature is not certified")
 
     degree = min(X.degree, Y.degree, 2 * T.degree + 1)
-    xs = np.repeat(X.points, Y.count, axis=0)
-    ys = np.tile(Y.points, (X.count, 1))
-    blocks = []
-    for tk in T.nodes:
-        tk_l = np.longdouble(tk)
-        scale_x = np.sqrt(np.maximum((1 - tk_l) / 2, np.longdouble(0)))
-        scale_y = np.sqrt(np.maximum((1 + tk_l) / 2, np.longdouble(0)))
-        blocks.append(np.hstack([scale_x * xs, scale_y * ys]))
-    return Design(ambient_dim=m + n, degree=degree, points=np.vstack(blocks))
+    nodes = T.nodes.astype(np.longdouble)
+    scales = np.sqrt(np.maximum(np.column_stack([(1 - nodes) / 2, (1 + nodes) / 2]), np.longdouble(0)))
+    points = np.empty((T.K * X.count * Y.count, m + n), dtype=np.longdouble)
+    blocks = points.reshape(T.K, X.count * Y.count, m + n)
+    np.multiply(scales[:, 0, None, None], np.repeat(X.points, Y.count, axis=0), out=blocks[:, :, :m])
+    np.multiply(scales[:, 1, None, None], np.tile(Y.points, (X.count, 1)), out=blocks[:, :, m:])
+    design = Design(ambient_dim=m + n, degree=degree, points=_read_only(points))
+    if not (X.points.flags.writeable or Y.points.flags.writeable):
+        design._factors = _verify.Factors(design.points, X, X.points, Y, Y.points, scales)
+    return design
+
+
+def _read_only(points: np.ndarray) -> np.ndarray:
+    points.setflags(write=False)
+    return points
 
 
 @cache
@@ -384,6 +399,7 @@ def build(
         return design, report
 
     design, root_report = execute(bp.root, "")
+    design._factors = design._averages = None  # frees the tree below the root
     report = BuildReport(
         sphere_dim=bp.sphere_dim,
         degree=t,

@@ -677,6 +677,13 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert_input_error(result, f"d.json: {message}")
 
+    def test_points_nested_three_deep_are_parse_error(self, runner, tmp_path):
+        # np.atleast_2d keeps the shape (1, 2, 1), whose first two sizes pass the shape check
+        bad = tmp_path / "d.json"
+        bad.write_text(json.dumps({"ambient_dim": 2, "degree": 1, "count": 1, "points": [[[1], [0]]]}))
+        result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
+        assert_input_error(result, "d.json: points must be a non-empty (N, 2) array, got (1, 2, 1)")
+
     @pytest.mark.parametrize("text", ["[]", ' [[1.0, 0.0], [-1.0, 0.0]]\n'])
     def test_json_array_is_not_read_as_csv(self, runner, tmp_path, text):
         bad = tmp_path / "a.json"

@@ -284,6 +284,10 @@ class TestDesignType:
         with pytest.raises(ValueError):
             Design(ambient_dim=2, degree=1, points=np.zeros((0, 2)))
 
+    def test_rejects_points_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match=r"got \(1, 2, 1\)"):
+            Design(ambient_dim=2, degree=1, points=np.array([[[1.0], [0.0]]]))
+
     def test_json_round_trip_is_fixed_point(self):
         d = base_s1(4, phase=0.3)
         data = d.to_json_dict()

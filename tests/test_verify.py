@@ -1,4 +1,5 @@
 """Both verification criteria, their agreement, and the Monte Carlo oracle."""
+import copy
 import gc
 import tracemalloc
 
@@ -8,9 +9,15 @@ import pytest
 from designforge import (
     BuildError,
     Design,
+    JacobiWeight,
     MultiIndex,
+    Quadrature,
+    SolverOptions,
     base_s0,
     base_s1,
+    product,
+    solve_cached,
+    solve_equal_weight,
     sphere_monomial_moment,
     verify_design,
     verify_gegenbauer,
@@ -226,6 +233,161 @@ class TestDeviationTable:
             gc.enable()
         assert current < column
         assert peak < dim * t * column
+
+
+def count_walks(monkeypatch):
+    """The ambient dimension of every point set `verify._walk` is entered for, in order."""
+    entries = []
+    real = verify._walk
+
+    def counting(pts, tables, scratch, c, *args):
+        if c == 0:
+            entries.append(pts.shape[1])
+        return real(pts, tables, scratch, c, *args)
+
+    monkeypatch.setattr(verify, "_walk", counting)
+    return entries
+
+
+def factored_tree(bp, quad_cache, phase=0.0):
+    """(node, design) for every node of the plan, children first, with each
+    product's factors kept (`build` drops them from the design it returns)."""
+    t = bp.degree
+    out = []
+
+    def make(node):
+        if node.kind == "s0":
+            design = base_s0(t)
+        elif node.kind == "s1":
+            design = base_s1(t, phase=phase)
+        else:
+            m, n = node.split
+            design = product(make(node.left), make(node.right), solve_cached(m, n, t // 2, SolverOptions(), quad_cache))
+        out.append((node, design))
+        return design
+
+    make(bp.root)
+    return out
+
+
+def walked(design):
+    """The same points in a design without factors, whose table is walked."""
+    return Design(ambient_dim=design.ambient_dim, degree=design.degree, points=design.points.copy())
+
+
+def moved_rule():
+    """The (2, 1) rule of degree 2 with one node moved by 1e-6, marked certified by hand."""
+    weight = JacobiWeight(2, 1)
+    rule, _ = solve_equal_weight(weight, 2)
+    nodes = rule.nodes.copy()
+    nodes[1] += 1e-6
+    return Quadrature(weight=weight, degree=2, nodes=nodes, certified=True)
+
+
+def verdicts(design, t):
+    return [r.passed for r in verify_design(design, t, 1e-9)]
+
+
+class TestFactoredTable:
+    """A product's table read off its factors' tables, against the walk over its points."""
+
+    @pytest.mark.parametrize(
+        "n,t,overrides,phase",
+        [(2, 10, None, 0.0), (3, 7, None, 0.0), (4, 6, None, 0.0), (5, 5, None, 0.0), (6, 4, None, 0.0),
+         (7, 4, None, 0.0), (8, 3, None, 0.0), (9, 3, None, 0.0),
+         (5, 4, {6: (4, 2)}, 0.0), (4, 5, {5: (1, 4)}, 0.0), (3, 5, None, 0.3)],
+    )
+    def test_matches_direct_walk(self, quad_cache, n, t, overrides, phase):
+        for node, design in factored_tree(construct.plan(n, t, overrides), quad_cache, phase):
+            if node.kind != "product":
+                continue
+            assert verify._intact_factors(design) is not None
+            direct = walked(design)
+            for degree in (t, t + 1):
+                factored = verify._moment_deviations(design, degree)
+                walk = verify._moment_deviations(direct, degree)
+                assert [alpha for alpha, _ in factored] == [alpha for alpha, _ in walk]
+                gap = max(abs(a - b) for (_, a), (_, b) in zip(factored, walk))
+                assert gap <= 1e-18, (node.ambient_dim, degree, float(gap))
+                assert verdicts(design, degree) == verdicts(direct, degree)
+
+    def test_moved_quadrature_node_fails_at_its_product(self, quad_cache):
+        design = product(base_s1(5), base_s0(5), moved_rule())
+        assert verify._intact_factors(design) is not None
+        reports = verify_design(design, 5, 1e-9)
+        assert not all(r.passed for r in reports)
+        direct = verify_design(walked(design), 5, 1e-9)
+        assert [r.max_abs_residual for r in reports] == pytest.approx([r.max_abs_residual for r in direct], rel=1e-6)
+
+    def test_build_rejects_moved_quadrature_node(self, monkeypatch, quad_cache):
+        # S^4 = S^1 x S^2 and S^2 = S^1 x S^0: the (2, 1) rule is the right child's
+        moved = moved_rule()
+        real_solve = construct.solve_cached
+
+        def solve_moving_one_node(m, n, t, opts, cache_obj):
+            return moved if (m, n) == (2, 1) else real_solve(m, n, t, opts, cache_obj)
+
+        monkeypatch.setattr(construct, "solve_cached", solve_moving_one_node)
+        with pytest.raises(BuildError) as excinfo:
+            construct.build(construct.plan(4, 5), cache_obj=quad_cache)
+        assert excinfo.value.node_path == "R"
+
+    def test_replaced_points_are_walked(self, monkeypatch, quad_cache):
+        design = product(base_s1(5), base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
+        design.points = corrupted(design).points
+        entries = count_walks(monkeypatch)
+        assert not all(verdicts(design, 5))
+        assert entries == [3]
+
+    def test_replaced_factor_points_are_walked(self, monkeypatch, quad_cache):
+        circle = base_s1(5)
+        design = product(circle, base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
+        circle.points = base_s1(5, phase=0.1).points
+        entries = count_walks(monkeypatch)
+        assert all(verdicts(design, 5))
+        assert entries == [3]
+
+    def test_writable_factor_keeps_no_factors(self, quad_cache):
+        circle = Design(ambient_dim=2, degree=5, points=base_s1(5).points.copy())
+        design = product(circle, base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
+        assert design._factors is None
+
+    def test_writable_points_keep_no_table(self):
+        # an in-place write to writable points must show in the next certificate
+        design = Design(ambient_dim=2, degree=3, points=base_s1(3).points.copy())
+        assert all(verdicts(design, 3))
+        design.points[0] = design.points[1]
+        assert not any(verdicts(design, 3))
+
+    def test_copied_design_is_walked(self, quad_cache):
+        # a copy's points are writable, so a write to them must show
+        design = product(base_s1(5), base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
+        assert all(verdicts(design, 5))
+        copied = copy.deepcopy(design)
+        copied.points[0] = copied.points[1]
+        assert not all(verdicts(copied, 5))
+
+    def test_points_are_read_only(self, quad_cache):
+        design = product(base_s1(5), base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
+        with pytest.raises(ValueError):
+            design.points[0, 0] = 0
+        for leaf in (base_s0(3), base_s1(3)):
+            with pytest.raises(ValueError):
+                leaf.points[0, 0] = 0
+
+    @pytest.mark.parametrize("n,t", [(5, 7), (6, 3)])
+    def test_build_walks_only_leaf_points(self, monkeypatch, quad_cache, n, t):
+        # a product's table costs O(C(d+t, t) + K t^2); a walk over its points would be O(N C(d+t, t))
+        def leaf_dims(node):
+            if node.kind != "product":
+                return [node.ambient_dim]
+            return leaf_dims(node.left) + leaf_dims(node.right)
+
+        entries = count_walks(monkeypatch)
+        bp = construct.plan(n, t)
+        design, _ = construct.build(bp, cache_obj=quad_cache)
+        assert entries == leaf_dims(bp.root)
+        assert design._factors is None and design._averages is None
 
 
 class TestExactConstants:
