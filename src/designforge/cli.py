@@ -32,7 +32,7 @@ from .construct import (
     plan,
     solve_cached,
 )
-from .quadrature import NoConvergenceError, SolverOptions, encode_floats
+from .quadrature import NoConvergenceError, SolverOptions
 from .verify import verify_design
 
 class InputError(click.ClickException):
@@ -216,9 +216,31 @@ def quadrature(m, n, t, output, opts, cache_dir):
     sys.exit(exit_code)
 
 
+def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
+    """Each row of `points` as float64: open_row, its cells joined by `between`,
+    close_row; rows joined by row_sep.  One `%` fills every cell, in 17g (the
+    text of "{:.17g}".format) or, if exact, in float.hex."""
+    count, dim = points.shape
+    flat = points.astype(np.float64).ravel().tolist()
+    cell, values = ("%s", tuple(map(float.hex, flat))) if exact else ("%.17g", tuple(flat))
+    return row_sep.join([open_row + between.join([cell] * dim) + close_row] * count) % values
+
+
+# a row of a JSON design's "points" or "points_hex", as json.dumps(indent=2) lays it out
+_JSON_ROW = ('    [\n      "', '",\n      "', '"\n    ]', ",\n")
+
+
+def _design_json(design: Design) -> str:
+    """The text of dump_json(design.to_json_dict()), formatted without the json encoder."""
+    return (
+        f'{{\n  "ambient_dim": {design.ambient_dim},\n  "degree": {design.degree},\n  "count": {design.count},\n'
+        f'  "points": [\n{_format_rows(design.points, *_JSON_ROW)}\n  ],\n'
+        f'  "points_hex": [\n{_format_rows(design.points, *_JSON_ROW, exact=True)}\n  ]\n}}\n'
+    )
+
+
 def _design_csv(design: Design) -> str:
-    lines = [",".join(row) for row in encode_floats("points", design.points, exact=False)["points"]]
-    return "\n".join(lines) + "\n"
+    return _format_rows(design.points, "", ",", "", "\n") + "\n"
 
 
 @main.command("build", cls=_SignedArguments)
@@ -251,7 +273,7 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
         if fmt == "csv":
             atomic_write_text(output, _design_csv(design))
         else:
-            atomic_write_text(output, dump_json(design.to_json_dict()))
+            atomic_write_text(output, _design_json(design))
     if report_out:
         atomic_write_text(report_out, dump_json(report.to_json_dict()))
     click.echo(

@@ -41,23 +41,24 @@ _PI = np.longdouble("3.14159265358979323846264338327950288")
 _NORM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class Design:
     """Point multiset on the unit sphere of R^ambient_dim, claimed degree t.
 
     Points are stored in extended precision; every row must have unit norm
     within 1e-12.  Whether the multiset actually averages polynomials of
     degree <= t correctly is certified by the verify module, never assumed.
-    The leaves and `product` make their points read-only.
+    The leaves and `product` make their points read-only.  Designs compare
+    by identity: `==` between two point arrays is not a bool.
     """
 
     ambient_dim: int
     degree: int
     points: np.ndarray
     # set by `product`: what the points were made from, for the verifier
-    _factors: _verify.Factors | None = field(default=None, init=False, repr=False, compare=False)
+    _factors: _verify.Factors | None = field(default=None, init=False, repr=False)
     # the verifier's table of averages, kept while the points are read-only
-    _averages: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _averages: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.longdouble))

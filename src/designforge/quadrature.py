@@ -57,14 +57,11 @@ def _each(fn, values: list) -> list:
     return list(map(fn, values))
 
 
-def encode_floats(field: str, values, exact: bool = True) -> dict:
-    """`values` as float64 in 17g text under `field` (round-trips a double) and,
-    if exact, in hex under field + "_hex"; both lists nest like the array."""
+def encode_floats(field: str, values) -> dict:
+    """`values` as float64 in 17g text under `field` (round-trips a double) and
+    in hex under field + "_hex"; both lists nest like the array."""
     floats = np.asarray(values).astype(np.float64).tolist()
-    out = {field: _each("{:.17g}".format, floats)}
-    if exact:
-        out[field + "_hex"] = _each(float.hex, floats)
-    return out
+    return {field: _each("{:.17g}".format, floats), field + "_hex": _each(float.hex, floats)}
 
 
 def decode_floats(data: dict, field: str) -> np.ndarray:

@@ -8,9 +8,9 @@ Both criteria read one table.  For every monomial x^alpha of total degree
 of the point average from the exact rational sphere moment mu_alpha.
 Averages are accumulated in extended precision with pairwise reduction, so
 each deviation is exact to well under one double ulp.  The exact constants
-(the exponents alpha in graded order, these moments, and the multinomials and
-zonal coefficients below) are made once per (d, t), on first use, and shared
-read-only.
+(the exponents alpha in graded order with the bounds of each degree's block,
+these moments, and the multinomials and zonal coefficients below) are made
+once per (d, t), on first use, and shared read-only.
 
 The table is filled by a depth-first walk over the coordinates of N points in
 R^d.  The product x_0^a_0 ... x_c^a_c is formed once and shared by every
@@ -173,7 +173,7 @@ def _walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
     ]
     sums = {}
     _walk(pts, tables, scratch, 0, t, None, (), sums)
-    alphas, _, _ = _exact_constants(dim, t)
+    alphas = _exact_constants(dim, t)[0]
     return np.array([sums[alpha] for alpha in alphas], dtype=np.longdouble) / count
 
 
@@ -243,32 +243,33 @@ def _averages(design, t: int) -> np.ndarray:
     return averages
 
 
-def _moment_deviations(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]:
-    """(alpha, mean of x^alpha over the points minus its sphere moment), |alpha| <= t."""
+def _moment_deviations(design, t: int) -> np.ndarray:
+    """Mean of x^alpha over the points minus its sphere moment, for every
+    |alpha| <= t in graded order (the alphas of `_exact_constants`)."""
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
-    alphas, moments, _ = _exact_constants(design.ambient_dim, t)
-    return list(zip(alphas, _averages(design, t) - moments))
+    _, moments, _, _ = _exact_constants(design.ambient_dim, t)
+    return _averages(design, t) - moments
 
 
-def _first_largest(values) -> tuple[int, float]:
+def _first_largest(values: np.ndarray) -> tuple[int, float]:
     """(index, value) of the first largest |v|, compared as doubles."""
-    residuals = [float(abs(v)) for v in values]
+    residuals = np.abs(values).astype(np.float64)
     i = int(np.argmax(residuals))
-    return i, residuals[i]
+    return i, float(residuals[i])
 
 
-def _monomial_report(deviations, t: int, tol: float) -> VerificationReport:
-    i, worst = _first_largest(delta for _, delta in deviations)
+def _monomial_report(deviations: np.ndarray, dim: int, t: int, tol: float) -> VerificationReport:
+    i, worst = _first_largest(deviations)
     return VerificationReport(
         method="monomial", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
-        worst_monomial=deviations[i][0],
+        worst_monomial=_exact_constants(dim, t)[0][i],
     )
 
 
 def verify_monomials(design, t: int, tol: float) -> VerificationReport:
     """Max deviation of monomial averages from exact moments, degree <= t."""
-    return _monomial_report(_moment_deviations(design, t), t, tol)
+    return _monomial_report(_moment_deviations(design, t), design.ambient_dim, t, tol)
 
 
 def _read_only(values) -> np.ndarray:
@@ -293,23 +294,32 @@ def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
 
 
 @cache
-def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarray, np.ndarray]:
-    """Every alpha with |alpha| <= t in the order of `iter_multi_indices`, and
-    the read-only sphere moments and multinomials |alpha|!/alpha! in that order."""
+def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Every alpha with |alpha| <= t in the order of `iter_multi_indices`, the
+    read-only sphere moments and multinomials |alpha|!/alpha! in that order,
+    and the block bounds: the alphas of degree k are alphas[bounds[k]:bounds[k + 1]]."""
     alphas = tuple(iter_multi_indices(dim, t))
     return (
         alphas,
         _read_only([sphere_monomial_moment(dim, alpha) for alpha in alphas]),
         _read_only([math.factorial(alpha.degree) // math.prod(map(math.factorial, alpha)) for alpha in alphas]),
+        tuple(math.comb(dim + k - 1, dim) for k in range(t + 2)),
     )
 
 
-def _gegenbauer_report(deviations, dim: int, t: int, tol: float) -> VerificationReport:
-    _, _, multinomials = _exact_constants(dim, t)
-    squares = np.zeros(t + 1, dtype=np.longdouble)
-    for (alpha, delta), weight in zip(deviations, multinomials):
-        squares[alpha.degree] += weight * delta * delta
-    sums = _zonal_coefficients(dim, t) @ squares
+def _degree_squares(deviations: np.ndarray, dim: int, t: int) -> np.ndarray:
+    """sum over |alpha| = k of (k!/alpha!) delta_alpha^2, for k = 0..t.
+
+    Each degree's block is summed left to right (a cumsum, not numpy's pairwise
+    sum), so the rounding is that of a loop over the alphas in graded order.
+    """
+    _, _, multinomials, bounds = _exact_constants(dim, t)
+    weighted = multinomials * deviations * deviations
+    return np.array([np.cumsum(weighted[start:stop])[-1] for start, stop in zip(bounds, bounds[1:])])
+
+
+def _gegenbauer_report(deviations: np.ndarray, dim: int, t: int, tol: float) -> VerificationReport:
+    sums = _zonal_coefficients(dim, t) @ _degree_squares(deviations, dim, t)
 
     worst, worst_k = 0.0, None
     if t > 0:
@@ -335,7 +345,7 @@ def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
 def verify_design(design, t: int, tol: float) -> list[VerificationReport]:
     """[monomial report, pairwise report if ambient >= 2], read from one table."""
     deviations = _moment_deviations(design, t)
-    reports = [_monomial_report(deviations, t, tol)]
+    reports = [_monomial_report(deviations, design.ambient_dim, t, tol)]
     if design.ambient_dim >= 2:
         reports.append(_gegenbauer_report(deviations, design.ambient_dim, t, tol))
     return reports

@@ -11,18 +11,22 @@ import pytest
 from click.testing import CliRunner
 
 from designforge import (
+    Design,
     InMemoryQuadratureCache,
     JacobiWeight,
     MultiIndex,
     Quadrature,
     VerificationReport,
+    base_s0,
+    base_s1,
     build,
     certify,
     plan,
     solve_equal_weight,
 )
-from designforge.cache import QuadratureCache, atomic_write_text, build_key, key, read_build_index
-from designforge.cli import main
+from designforge.cache import QuadratureCache, atomic_write_text, build_key, dump_json, key, read_build_index
+from designforge.cli import _design_csv, _design_json, _load_design, main
+from designforge.quadrature import encode_floats
 
 
 @pytest.fixture
@@ -429,9 +433,6 @@ class TestBuildCommand:
             runner.invoke(main, ["build", "2", "2", "-o", str(csv_file), "--format", "csv"]).exit_code
             == 0
         )
-        from designforge.cache import dump_json
-        from designforge.cli import _design_csv, _load_design
-
         for path in (design_file, report_file):
             text = path.read_text()
             assert dump_json(json.loads(text)) == text
@@ -534,6 +535,53 @@ def test_unknown_option_is_named_as_click_names_it(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.output == f"Error: {click.NoSuchOption('--bogus').format_message()}\n"
+
+
+def per_value_csv(design):
+    """A CSV design as the per-value writer made it: 17g cells joined by "," and newlines."""
+    rows = encode_floats("points", design.points)["points"]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestDesignWriters:
+    """The row-template writers against json.dumps and the per-value 17g text."""
+
+    @pytest.fixture(params=["s0", "s1", (2, 14), (4, 6), (5, 4), "edge"])
+    def design(self, request, built):
+        if request.param == "s0":
+            return base_s0(3)
+        if request.param == "s1":
+            return base_s1(5, phase=0.3)
+        if request.param == "edge":  # a -0.0, a subnormal and the smallest normal
+            points = np.array([[-0.0, 1.0, 5e-324], [0.0, -1.0, 0.0], [1.0, 0.0, -2.2250738585072014e-308]])
+            return Design(ambient_dim=3, degree=1, points=points)
+        return built(*request.param)[0]
+
+    def test_json_is_dump_json_text(self, design):
+        assert _design_json(design) == dump_json(design.to_json_dict())
+
+    def test_csv_is_per_value_text(self, design):
+        assert _design_csv(design) == per_value_csv(design)
+
+    def test_percent_17g_is_format_17g(self):
+        rng = np.random.default_rng(15)
+        values = np.concatenate([
+            rng.standard_normal(50_000),
+            rng.standard_normal(50_000) * 10.0 ** rng.integers(-300, 300, 50_000),
+            rng.integers(1, 2**52, 50_000, dtype=np.uint64).view(np.float64),  # subnormals
+            rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),  # any bits: inf, nan too
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ]).tolist()
+        assert ["%.17g" % v for v in values] == ["{:.17g}".format(v) for v in values]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_written_design_verifies(self, runner, tmp_path, built, fmt):
+        path = tmp_path / f"d.{fmt}"
+        assert runner.invoke(main, ["build", "4", "6", "-o", str(path), "--format", fmt]).exit_code == 0
+        result = runner.invoke(main, ["verify", str(path), "-t", "6"])
+        assert result.exit_code == 0, result.output
+        points = built(4, 6)[0].points.astype(np.float64)
+        assert np.array_equal(_load_design(path, 6).points.astype(np.float64), points)
 
 
 class TestReportLayout:

@@ -288,6 +288,13 @@ class TestDesignType:
         with pytest.raises(ValueError, match=r"got \(1, 2, 1\)"):
             Design(ambient_dim=2, degree=1, points=np.array([[[1.0], [0.0]]]))
 
+    def test_equality_is_identity(self):
+        # a generated __eq__ compared the point arrays, and `==` between
+        # arrays of several elements is not a bool
+        d = base_s1(3)
+        assert (d == base_s1(3)) is False
+        assert (d == d) is True
+
     def test_json_round_trip_is_fixed_point(self):
         d = base_s1(4, phase=0.3)
         data = d.to_json_dict()

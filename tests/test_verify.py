@@ -188,6 +188,11 @@ class TestOneTablePerNode:
         assert report.root.verify_method == "monomial+gegenbauer"
 
 
+def deviation_pairs(design, t):
+    """(alpha, deviation) for every |alpha| <= t, in the verifier's graded order."""
+    return list(zip(verify._exact_constants(design.ambient_dim, t)[0], verify._moment_deviations(design, t)))
+
+
 def random_unit_design(count, dim, t, seed):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((count, dim))
@@ -200,7 +205,7 @@ class TestDeviationTable:
 
     @staticmethod
     def assert_bit_identical(design, t):
-        walked = verify._moment_deviations(design, t)
+        walked = deviation_pairs(design, t)
         direct = moment_deviations_direct(design, t)
         assert [alpha for alpha, _ in walked] == [alpha for alpha, _ in direct]
         assert [np.asarray(d).tobytes() for _, d in walked] == [np.asarray(d).tobytes() for _, d in direct]
@@ -304,8 +309,8 @@ class TestFactoredTable:
             assert verify._intact_factors(design) is not None
             direct = walked(design)
             for degree in (t, t + 1):
-                factored = verify._moment_deviations(design, degree)
-                walk = verify._moment_deviations(direct, degree)
+                factored = deviation_pairs(design, degree)
+                walk = deviation_pairs(direct, degree)
                 assert [alpha for alpha, _ in factored] == [alpha for alpha, _ in walk]
                 gap = max(abs(a - b) for (_, a), (_, b) in zip(factored, walk))
                 assert gap <= 1e-18, (node.ambient_dim, degree, float(gap))
@@ -424,10 +429,59 @@ class TestExactConstants:
         assert calls == [(2, 3)]
 
     def test_cached_arrays_are_read_only(self):
-        _, moments, multinomials = verify._exact_constants(3, 4)
+        _, moments, multinomials, _ = verify._exact_constants(3, 4)
         for array in (moments, multinomials, verify._zonal_coefficients(3, 4)):
             with pytest.raises(ValueError):
                 array.flat[0] = 1
+
+
+def loop_squares(design, t):
+    """The per-degree sums of (|alpha|!/alpha!) delta_alpha^2 as the per-monomial
+    loop added them, one alpha at a time in graded order."""
+    _, _, multinomials, _ = verify._exact_constants(design.ambient_dim, t)
+    squares = np.zeros(t + 1, dtype=np.longdouble)
+    for (alpha, delta), weight in zip(deviation_pairs(design, t), multinomials):
+        squares[alpha.degree] += weight * delta * delta
+    return squares
+
+
+def loop_reports(design, t):
+    """[(residual, worst monomial), (residual, worst degree) if ambient >= 2] with
+    abs and float applied one value at a time, as the loops did."""
+    pairs = deviation_pairs(design, t)
+    residuals = [float(abs(delta)) for _, delta in pairs]
+    i = int(np.argmax(residuals))
+    out = [(residuals[i], pairs[i][0])]
+    if design.ambient_dim >= 2:
+        sums = [float(abs(v)) for v in verify._zonal_coefficients(design.ambient_dim, t) @ loop_squares(design, t)]
+        k = int(np.argmax(sums[1:])) + 1 if t > 0 else None
+        out.append((sums[k] if k else 0.0, k))
+    return out
+
+
+class TestArrayReductions:
+    """The reports' array reductions give the loops' values bit for bit."""
+
+    @pytest.mark.parametrize("n,t", [(2, 10), (2, 14), (3, 6), (4, 4), (6, 3)])
+    def test_built_designs(self, built, n, t):
+        design, _ = built(n, t)
+        for degree in range(t + 2):
+            self.assert_same(design, degree)
+
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (2, 1), (3, 2), (5, 3)])
+    def test_random_sets(self, dim, seed):
+        design = random_unit_design(40, dim, 5, seed)
+        for degree in range(7):
+            self.assert_same(design, degree)
+
+    @staticmethod
+    def assert_same(design, t):
+        squares = verify._degree_squares(verify._moment_deviations(design, t), design.ambient_dim, t)
+        assert np.array_equal(squares, loop_squares(design, t))  # exact, in long double
+        reports = verify_design(design, t, 1e-9)
+        got = [(reports[0].max_abs_residual, reports[0].worst_monomial)]
+        got += [(r.max_abs_residual, r.worst_degree) for r in reports[1:]]
+        assert got == loop_reports(design, t)
 
 
 class TestWorstEntry:
