@@ -218,12 +218,14 @@ def quadrature(m, n, t, output, opts, cache_dir):
 
 def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
     """Each row of `points` as float64: open_row, its cells joined by `between`,
-    close_row; rows joined by row_sep.  One `%` fills every cell, in 17g (the
-    text of "{:.17g}".format) or, if exact, in float.hex."""
+    close_row; rows joined by row_sep.  A cell is the text of "{:.17g}".format
+    or, if exact, of float.hex.  Each distinct float64 bit pattern is formatted
+    once (so -0.0 and 0.0 stay apart), and one `%` fills every cell."""
     count, dim = points.shape
-    flat = points.astype(np.float64).ravel().tolist()
-    cell, values = ("%s", tuple(map(float.hex, flat))) if exact else ("%.17g", tuple(flat))
-    return row_sep.join([open_row + between.join([cell] * dim) + close_row] * count) % values
+    bits, cells = np.unique(points.astype(np.float64).view(np.uint64).ravel(), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    text = np.array(list(map(float.hex, distinct)) if exact else ["%.17g" % v for v in distinct], dtype=object)
+    return row_sep.join([open_row + between.join(["%s"] * dim) + close_row] * count) % tuple(text[cells].tolist())
 
 
 # a row of a JSON design's "points" or "points_hex", as json.dumps(indent=2) lays it out

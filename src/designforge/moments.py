@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator
 
 
@@ -86,6 +87,18 @@ def _rising(x: Fraction, k: int) -> Fraction:
     return out
 
 
+@cache
+def _sphere_denominator(dim: int, k: int) -> Fraction:
+    """(dim/2) (dim/2 + 1) ... (dim/2 + k - 1)."""
+    return _rising(Fraction(dim, 2), k)
+
+
+@cache
+def _even_factor(b: int) -> Fraction:
+    """(2b)! / (4^b b!), the factor of one exponent 2b in a sphere moment."""
+    return Fraction(math.factorial(2 * b), 4**b * math.factorial(b))
+
+
 def sphere_monomial_moment(dim: int, alpha: MultiIndex) -> Fraction:
     """Normalized moment of x^alpha over the unit sphere in R^dim.
 
@@ -103,9 +116,9 @@ def sphere_monomial_moment(dim: int, alpha: MultiIndex) -> Fraction:
         raise ValueError(f"multi-index has {len(alpha)} entries, expected {dim}")
     if any(a % 2 for a in alpha):
         return Fraction(0)
-    out = Fraction(1) / _rising(Fraction(dim, 2), alpha.degree // 2)
-    for b in (a // 2 for a in alpha):
-        out *= Fraction(math.factorial(2 * b), 4**b * math.factorial(b))
+    out = Fraction(1) / _sphere_denominator(dim, alpha.degree // 2)
+    for a in alpha:
+        out *= _even_factor(a // 2)
     return out
 
 

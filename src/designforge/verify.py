@@ -290,7 +290,8 @@ def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
     rows = [[Fraction(0)] * (t + 1), [Fraction(1)] + [Fraction(0)] * t]  # C_{-1}, C_0
     for k in range(t):
         rows.append([c - b[k] * p for c, p in zip([Fraction(0)] + rows[-1][:-1], rows[-2])])
-    return _read_only([c / sum(row) for row in rows[1:] for c in row]).reshape(t + 1, t + 1)
+    # C_k(1) is the sum of row k's coefficients
+    return _read_only([c / one for row, one in zip(rows[1:], map(sum, rows[1:])) for c in row]).reshape(t + 1, t + 1)
 
 
 @cache

@@ -9,6 +9,8 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge import (
     Design,
@@ -25,7 +27,7 @@ from designforge import (
     solve_equal_weight,
 )
 from designforge.cache import QuadratureCache, atomic_write_text, build_key, dump_json, key, read_build_index
-from designforge.cli import _design_csv, _design_json, _load_design, main
+from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_rows, _load_design, main
 from designforge.quadrature import encode_floats
 
 
@@ -537,16 +539,35 @@ def test_unknown_option_is_named_as_click_names_it(runner, args):
     assert result.output == f"Error: {click.NoSuchOption('--bogus').format_message()}\n"
 
 
+def per_value_rows(points, open_row, between, close_row, row_sep, exact=False):
+    """What `_format_rows` writes, from the per-value writer's 17g or hex cells."""
+    rows = encode_floats("points", points)["points_hex" if exact else "points"]
+    return row_sep.join(open_row + between.join(row) + close_row for row in rows)
+
+
 def per_value_csv(design):
     """A CSV design as the per-value writer made it: 17g cells joined by "," and newlines."""
-    rows = encode_floats("points", design.points)["points"]
-    return "".join(",".join(row) + "\n" for row in rows)
+    return per_value_rows(design.points, "", ",", "", "\n") + "\n"
+
+
+@st.composite
+def repetitive_tables(draw):
+    """float64 tables drawn from a few values: any float, NaN (any payload or
+    sign), ±inf, ±0 and subnormals, repeated in cells and in whole rows."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan])
+    any_bits = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    pool = draw(st.lists(st.floats(allow_subnormal=True) | special | any_bits, min_size=1, max_size=8))
+    rows, dim = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * dim, max_size=rows * dim))
+    table = np.array(cells, dtype=np.float64).reshape(rows, dim)
+    order = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=2 * rows))
+    return table[order]
 
 
 class TestDesignWriters:
     """The row-template writers against json.dumps and the per-value 17g text."""
 
-    @pytest.fixture(params=["s0", "s1", (2, 14), (4, 6), (5, 4), "edge"])
+    @pytest.fixture(params=["s0", "s1", (2, 14), (4, 6), (5, 4), "edge", "distinct"])
     def design(self, request, built):
         if request.param == "s0":
             return base_s0(3)
@@ -555,7 +576,19 @@ class TestDesignWriters:
         if request.param == "edge":  # a -0.0, a subnormal and the smallest normal
             points = np.array([[-0.0, 1.0, 5e-324], [0.0, -1.0, 0.0], [1.0, 0.0, -2.2250738585072014e-308]])
             return Design(ambient_dim=3, degree=1, points=points)
+        if request.param == "distinct":  # random unit vectors: no coordinate repeats
+            points = np.random.default_rng(16).standard_normal((300, 4))
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+            assert np.unique(points).size == points.size
+            return Design(ambient_dim=4, degree=1, points=points)
         return built(*request.param)[0]
+
+    @given(repetitive_tables())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rows_are_per_value_text(self, table):
+        for layout in (_JSON_ROW, ("", ",", "", "\n")):
+            for exact in (False, True):
+                assert _format_rows(table, *layout, exact=exact) == per_value_rows(table, *layout, exact=exact)
 
     def test_json_is_dump_json_text(self, design):
         assert _design_json(design) == dump_json(design.to_json_dict())

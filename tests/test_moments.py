@@ -89,6 +89,25 @@ class TestSphereMoments:
             exps[data.draw(st.integers(min_value=0, max_value=dim - 1))] += 1
         assert sphere_monomial_moment(dim, MultiIndex(tuple(exps))) == 0
 
+    def test_memoized_factors_match_formula(self):
+        """The cached rising factorial and per-exponent factors give the Fraction
+        the formula gives when every factor is rebuilt."""
+
+        def rising(x, k):
+            out = Fraction(1)
+            for i in range(k):
+                out *= x + i
+            return out
+
+        for dim in range(1, 7):
+            for alpha in iter_multi_indices(dim, 8):
+                expected = Fraction(0)
+                if all(a % 2 == 0 for a in alpha):
+                    expected = Fraction(1) / rising(Fraction(dim, 2), alpha.degree // 2)
+                    for b in (a // 2 for a in alpha):
+                        expected *= Fraction(math.factorial(2 * b), 4**b * math.factorial(b))
+                assert sphere_monomial_moment(dim, alpha) == expected, (dim, alpha)
+
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_second_moments_sum_to_one(self, dim):
         total = sum(

@@ -2,6 +2,7 @@
 import copy
 import gc
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from designforge import (
     verify_gegenbauer,
     verify_monomials,
 )
-from designforge import construct, verify
+from designforge import construct, jacobi, verify
 from oracles import gegenbauer_block_sum, mc_moment_oracle, moment_deviations_direct
 
 
@@ -413,6 +414,18 @@ class TestExactConstants:
                 lam = (dim - 2) / 2
                 expected = eval_gegenbauer(k, lam, s) / eval_gegenbauer(k, lam, 1.0)
             assert np.max(np.abs(value.astype(float) - expected)) <= 1e-13, (dim, k)
+
+    def test_zonal_rows_match_per_coefficient_division(self):
+        """Dividing each row by its sum, taken once, gives the bytes of taking
+        sum(row) again for every coefficient."""
+        for dim in range(2, 7):
+            for t in range(21):
+                _, b = jacobi.recurrence_coefficients(JacobiWeight(dim - 1, dim - 1), t)
+                rows = [[Fraction(0)] * (t + 1), [Fraction(1)] + [Fraction(0)] * t]
+                for k in range(t):
+                    rows.append([c - b[k] * p for c, p in zip([Fraction(0)] + rows[-1][:-1], rows[-2])])
+                expected = verify._read_only([c / sum(row) for row in rows[1:] for c in row])
+                assert verify._zonal_coefficients(dim, t).tobytes() == expected.tobytes(), (dim, t)
 
     def test_indices_enumerated_once_per_dim_and_degree(self, monkeypatch):
         calls = []
