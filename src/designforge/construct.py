@@ -20,8 +20,10 @@ needs O(t^2) nodes, so the three-dimensional sphere costs O(t^3) points).
 `a_sequence` gives the resulting cardinality growth exponents.
 
 `build` walks the plan bottom-up along one path for leaves and products
-alike: make the node's design, certify it with `verify.verify_design`, and
-record the worst residual of its certificates in the node's report.
+alike: make the node's design and its table of monomial averages (walked
+over a leaf's points, read off the children's tables for a product), certify
+the table with `verify.verify_averages`, and record the worst residual of its
+certificates in the node's report.
 """
 from __future__ import annotations
 
@@ -48,17 +50,14 @@ class Design:
     Points are stored in extended precision; every row must have unit norm
     within 1e-12.  Whether the multiset actually averages polynomials of
     degree <= t correctly is certified by the verify module, never assumed.
-    The leaves and `product` make their points read-only.  Designs compare
-    by identity: `==` between two point arrays is not a bool.
+    Designs compare by identity: `==` between two point arrays is not a bool.
     """
 
     ambient_dim: int
     degree: int
     points: np.ndarray
-    # set by `product`: what the points were made from, for the verifier
-    _factors: _verify.Factors | None = field(default=None, init=False, repr=False)
-    # the verifier's table of averages, kept while the points are read-only
-    _averages: tuple | None = field(default=None, init=False, repr=False)
+    # set by `product`: row k holds the scales (s_k, c_k) it multiplied the factors by
+    _scales: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.longdouble))
@@ -104,7 +103,7 @@ def base_s0(t: int) -> Design:
     every odd power to 0, hence a t-design for all t."""
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
-    return Design(ambient_dim=1, degree=t, points=_read_only(np.array([[1], [-1]], dtype=np.longdouble)))
+    return Design(ambient_dim=1, degree=t, points=np.array([[1], [-1]], dtype=np.longdouble))
 
 
 def base_s1(t: int, phase: float = 0.0) -> Design:
@@ -120,7 +119,7 @@ def base_s1(t: int, phase: float = 0.0) -> Design:
         raise ValueError(f"degree must be >= 0, got {t}")
     j = np.arange(t + 1, dtype=np.longdouble)
     theta = 2 * _PI * j / np.longdouble(t + 1) + np.fmod(np.longdouble(phase), 2 * _PI)
-    return Design(ambient_dim=2, degree=t, points=_read_only(np.column_stack([np.cos(theta), np.sin(theta)])))
+    return Design(ambient_dim=2, degree=t, points=np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
 def product(X: Design, Y: Design, T: Quadrature) -> Design:
@@ -134,9 +133,9 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
     becomes a polynomial of degree <= d/2 in the node.  T must be certified:
     a hand-made rule can be marked `certified=True` by its maker.
 
-    The output's points are read-only.  When the factors' points are
-    read-only too, the output keeps its factors and scales, so the verifier
-    reads its moments off theirs instead of walking its K*M*N points.
+    The output keeps the scales in `_scales`, row k holding (s_k, c_k), so
+    `build` reads its moments off its factors' (`verify.product_averages`)
+    instead of walking its K*M*N points.
     """
     m, n = T.weight.m, T.weight.n
     if X.ambient_dim != m:
@@ -153,15 +152,9 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
     blocks = points.reshape(T.K, X.count * Y.count, m + n)
     np.multiply(scales[:, 0, None, None], np.repeat(X.points, Y.count, axis=0), out=blocks[:, :, :m])
     np.multiply(scales[:, 1, None, None], np.tile(Y.points, (X.count, 1)), out=blocks[:, :, m:])
-    design = Design(ambient_dim=m + n, degree=degree, points=_read_only(points))
-    if not (X.points.flags.writeable or Y.points.flags.writeable):
-        design._factors = _verify.Factors(design.points, X, X.points, Y, Y.points, scales)
+    design = Design(ambient_dim=m + n, degree=degree, points=points)
+    design._scales = scales
     return design
-
-
-def _read_only(points: np.ndarray) -> np.ndarray:
-    points.setflags(write=False)
-    return points
 
 
 @cache
@@ -355,32 +348,40 @@ def build(
 
     A leaf is exact by construction; a product node first solves (or fetches
     from cache) its equal-weight quadrature of degree floor(t/2), which is
-    enough for degree t (see `product`).  Either way the node's design then
-    goes through `verify.verify_design`, which reads the monomial and,
-    from ambient 2 up, the pairwise certificate off one moment table.  Raises
-    BuildError naming the offending node if any certificate exceeds
-    design_tol, and propagates NoConvergenceError from the quadrature solver.
+    enough for degree t (see `product`).  A leaf's table of monomial averages
+    is walked over its points; a product's is read off its children's tables
+    and the scales `product` used (`verify.product_averages`), and a product
+    design without them is walked.  `verify.verify_averages` reads the
+    monomial and, from ambient 2 up, the pairwise certificate off the table.
+    Only the tables pass up the tree, so no design below the root outlives
+    the build.  Raises BuildError naming the offending node if any
+    certificate exceeds design_tol, and propagates NoConvergenceError from
+    the quadrature solver.
     """
     t = bp.degree
     solver_opts = solver_opts or SolverOptions()
     if cache_obj is None:
         cache_obj = InMemoryQuadratureCache()
 
-    def execute(node: PlanNode, path: str) -> tuple[Design, BuildNodeReport]:
-        product_fields = {}
+    def execute(node: PlanNode, path: str) -> tuple[Design, np.ndarray, BuildNodeReport]:
+        product_fields, table = {}, None
         if node.kind == "s0":
             design = base_s0(t)
         elif node.kind == "s1":
             design = base_s1(t, phase=phase)
         else:
-            X, left_report = execute(node.left, path + "L")
-            Y, right_report = execute(node.right, path + "R")
+            X, left_table, left_report = execute(node.left, path + "L")
+            Y, right_table, right_report = execute(node.right, path + "R")
             m, n = node.split
             quad = solve_cached(m, n, t // 2, solver_opts, cache_obj)
             design = product(X, Y, quad)
+            if design._scales is not None:
+                table = _verify.product_averages(left_table, right_table, design._scales, m, n, t)
             product_fields = dict(m=m, n=n, K=quad.K, M=X.count, N=Y.count,
                                   quad_residual=quad.max_abs_residual, children=[left_report, right_report])
-        checks = _verify.verify_design(design, t, design_tol)
+        if table is None:
+            table = _verify.walked_averages(design.points, t)
+        checks = _verify.verify_averages(table, design.ambient_dim, t, design_tol)
         residual = max(r.max_abs_residual for r in checks)
         if not all(r.passed for r in checks):
             raise BuildError(
@@ -397,10 +398,9 @@ def build(
             verify_residual=residual,
             **product_fields,
         )
-        return design, report
+        return design, table, report
 
-    design, root_report = execute(bp.root, "")
-    design._factors = design._averages = None  # frees the tree below the root
+    design, _, root_report = execute(bp.root, "")
     report = BuildReport(
         sphere_dim=bp.sphere_dim,
         degree=t,

@@ -27,22 +27,21 @@ buffers alive after the table is built until the cyclic garbage collector
 ran.
 
 A design made by `construct.product` from factors X in R^m and Y in R^n and
-a rule T = {t_1..t_K} is not walked.  Its points are (s_k x, c_k y) with
+a rule T = {t_1..t_K} has the points (s_k x, c_k y), with
 s_k = sqrt((1-t_k)/2) and c_k = sqrt((1+t_k)/2), so each average factors:
 
-    avg(u^a v^b) = T_{|a|,|b|} avg_X(u^a) avg_Y(v^b),   T_{i,j} = (1/K) sum_k s_k^i c_k^j,
+    avg(u^a v^b) = T_{|a|,|b|} avg_X(u^a) avg_Y(v^b),   T_{i,j} = (1/K) sum_k s_k^i c_k^j.
 
-and its table costs O(C(d+t, t) + K t^2) from the factors' tables, each made
-once and kept on its factor.  Only the leaves are walked.  This route is
-taken only while the design's points, and the factors' points, are still
-the read-only arrays `product` wrote and read; any other design, such as one
-read from a file, built from bare points, or whose points were replaced, is
-walked.  The certificate of a product node thus covers the multiset defined
-by its factors' points and the long-double scales s_k, c_k.  The stored
-points differ from that multiset by one rounding per coordinate per tree
-level, a relative 2^-64 each, so a monomial average of degree <= t differs
-by at most about depth * t * 2^-64 (4e-18 at depth 4 and t = 20), far below
-any tolerance in use (1e-9 by default).
+`product_averages` forms that table in O(C(d+t, t) + K t^2) from the
+factors' tables, and `construct.build` reads each product node's table off
+its children's this way, so only the leaves are walked; `verify_averages`
+certifies a table, whichever way it was made.  `verify_design` always walks
+the points it is given.  The certificate of a product node in `build` thus
+covers the multiset defined by its factors' points and the long-double
+scales s_k, c_k.  The stored points differ from that multiset by one
+rounding per coordinate per tree level, a relative 2^-64 each, so a monomial
+average of degree <= t differs by at most about depth * t * 2^-64 (4e-18 at
+depth 4 and t = 20), far below any tolerance in use (1e-9 by default).
 
 * `verify_monomials` reports the largest |delta_alpha|.
 * `verify_gegenbauer` reports, for k = 1..t, the pairwise sum of the ambient
@@ -52,8 +51,9 @@ any tolerance in use (1e-9 by default).
   comparable across degrees.  By the addition theorem each sum is a sum of
   squares, so it vanishes exactly when the point set averages all degree-k
   harmonics to zero (Delsarte, Goethals and Seidel, 1977).
-* `verify_design` builds the table once and returns the monomial report,
-  then the pairwise one when d >= 2; `build` certifies every node with it.
+* `verify_averages` returns the monomial report of a table, then the
+  pairwise one when d >= 2; `verify_design` walks a design's points into
+  one table and certifies it so, and `build` certifies every node's table.
   The pairwise residual is quadratic in the deviations, so on its own it
   passes averages that are off by about the square root of its tolerance.
 
@@ -78,7 +78,6 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +153,10 @@ def _walk(pts, tables, scratch, c: int, budget: int, prefix, head: tuple, sums: 
             sums[exponents] = value.sum()
 
 
-def _walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
+def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
     """Mean of x^alpha over the rows of `pts` for every |alpha| <= t, in graded order."""
+    if t < 0:
+        raise ValueError(f"degree must be >= 0, got {t}")
     pts = np.asarray(pts, dtype=np.longdouble)
     count, dim = pts.shape
     tables = [None] * dim
@@ -177,33 +178,6 @@ def _walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
     return np.array([sums[alpha] for alpha in alphas], dtype=np.longdouble) / count
 
 
-class Factors(NamedTuple):
-    """What `construct.product` made a design from.
-
-    `points` is the read-only array it wrote; `left` and `right` are the
-    factor designs, and `left_points` and `right_points` the read-only arrays
-    it read from them; row k of `scales` holds the long doubles
-    (sqrt((1-t_k)/2), sqrt((1+t_k)/2)) it multiplied them by.
-    """
-
-    points: np.ndarray
-    left: object
-    left_points: np.ndarray
-    right: object
-    right_points: np.ndarray
-    scales: np.ndarray
-
-
-def _intact_factors(design) -> Factors | None:
-    """The design's factors if its points and theirs are still the read-only
-    arrays `product` used (a copied design has writable copies)."""
-    f = design._factors
-    if f is None:
-        return None
-    pairs = ((design, f.points), (f.left, f.left_points), (f.right, f.right_points))
-    return f if all(d.points is p and not p.flags.writeable for d, p in pairs) else None
-
-
 @cache
 def _split_indices(m: int, n: int, t: int) -> tuple[np.ndarray, ...]:
     """For every alpha = (a, b) in R^(m+n) with |alpha| <= t, in graded order:
@@ -215,41 +189,24 @@ def _split_indices(m: int, n: int, t: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(column, dtype=np.intp) for column in zip(*rows))
 
 
-def _factored_averages(f: Factors, t: int) -> np.ndarray:
-    """avg(u^a v^b) = T[|a|, |b|] * avg_X(u^a) * avg_Y(v^b), T[i, j] = mean_k s_k^i c_k^j."""
-    powers = np.ones((t + 1,) + f.scales.shape, dtype=np.longdouble)
-    for i in range(1, t + 1):
-        powers[i] = powers[i - 1] * f.scales
-    weights = powers[:, :, 0] @ powers[:, :, 1].T / len(f.scales)
-    a, b, degree_a, degree_b = _split_indices(f.left.ambient_dim, f.right.ambient_dim, t)
-    return weights[degree_a, degree_b] * _averages(f.left, t)[a] * _averages(f.right, t)[b]
+def product_averages(left_table, right_table, scales: np.ndarray, m: int, n: int, t: int) -> np.ndarray:
+    """The table of the product of factors in R^m and R^n with tables
+    `left_table` and `right_table`, scaled by row k of `scales`, (s_k, c_k):
 
-
-def _averages(design, t: int) -> np.ndarray:
-    """Mean of x^alpha over the design's points for every |alpha| <= t, in graded order.
-
-    Read off the factors' tables when the design is an intact `product`,
-    walked over the points otherwise.  A design whose points are read-only
-    keeps its table, for that array and degree, so it is made once.
+    avg(u^a v^b) = T[|a|, |b|] * avg_X(u^a) * avg_Y(v^b), T[i, j] = mean_k s_k^i c_k^j.
     """
-    frozen = not design.points.flags.writeable
-    kept = design._averages
-    if frozen and kept is not None and kept[0] is design.points and kept[1] == t:
-        return kept[2]
-    f = _intact_factors(design)
-    averages = _walked_averages(design.points, t) if f is None else _factored_averages(f, t)
-    if frozen:
-        design._averages = (design.points, t, averages)
-    return averages
+    powers = np.ones((t + 1,) + scales.shape, dtype=np.longdouble)
+    for i in range(1, t + 1):
+        powers[i] = powers[i - 1] * scales
+    weights = powers[:, :, 0] @ powers[:, :, 1].T / len(scales)
+    a, b, degree_a, degree_b = _split_indices(m, n, t)
+    return weights[degree_a, degree_b] * left_table[a] * right_table[b]
 
 
 def _moment_deviations(design, t: int) -> np.ndarray:
     """Mean of x^alpha over the points minus its sphere moment, for every
     |alpha| <= t in graded order (the alphas of `_exact_constants`)."""
-    if t < 0:
-        raise ValueError(f"degree must be >= 0, got {t}")
-    _, moments, _, _ = _exact_constants(design.ambient_dim, t)
-    return _averages(design, t) - moments
+    return walked_averages(design.points, t) - _exact_constants(design.ambient_dim, t)[1]
 
 
 def _first_largest(values: np.ndarray) -> tuple[int, float]:
@@ -343,10 +300,15 @@ def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
     return _gegenbauer_report(_moment_deviations(design, t), design.ambient_dim, t, tol)
 
 
-def verify_design(design, t: int, tol: float) -> list[VerificationReport]:
-    """[monomial report, pairwise report if ambient >= 2], read from one table."""
-    deviations = _moment_deviations(design, t)
-    reports = [_monomial_report(deviations, design.ambient_dim, t, tol)]
-    if design.ambient_dim >= 2:
-        reports.append(_gegenbauer_report(deviations, design.ambient_dim, t, tol))
+def verify_averages(table: np.ndarray, dim: int, t: int, tol: float) -> list[VerificationReport]:
+    """[monomial report, pairwise report if dim >= 2] of a table of averages in R^dim."""
+    deviations = table - _exact_constants(dim, t)[1]
+    reports = [_monomial_report(deviations, dim, t, tol)]
+    if dim >= 2:
+        reports.append(_gegenbauer_report(deviations, dim, t, tol))
     return reports
+
+
+def verify_design(design, t: int, tol: float) -> list[VerificationReport]:
+    """`verify_averages` of the table walked over the design's points."""
+    return verify_averages(walked_averages(design.points, t), design.ambient_dim, t, tol)

@@ -2,6 +2,7 @@
 import copy
 import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -172,17 +173,17 @@ class TestOneTablePerNode:
     @pytest.mark.parametrize("n,t", [(1, 4), (2, 3), (4, 6), (6, 3)])
     def test_build_makes_one_deviation_table_per_node(self, monkeypatch, quad_cache, n, t):
         calls = []
-        real = verify._moment_deviations
+        real = verify.verify_averages
 
-        def counting(design, degree):
-            calls.append(design.ambient_dim)
-            return real(design, degree)
+        def counting(table, dim, degree, tol):
+            calls.append(dim)
+            return real(table, dim, degree, tol)
 
         def tree_dims(node):
             children = [] if node.kind != "product" else [node.left, node.right]
             return [d for c in children for d in tree_dims(c)] + [node.ambient_dim]
 
-        monkeypatch.setattr(verify, "_moment_deviations", counting)
+        monkeypatch.setattr(verify, "verify_averages", counting)
         bp = construct.plan(n, t)
         _, report = construct.build(bp, cache_obj=quad_cache)
         assert calls == tree_dims(bp.root)
@@ -255,22 +256,25 @@ def count_walks(monkeypatch):
     return entries
 
 
-def factored_tree(bp, quad_cache, phase=0.0):
-    """(node, design) for every node of the plan, children first, with each
-    product's factors kept (`build` drops them from the design it returns)."""
+def factored_tree(bp, quad_cache, phase=0.0, degree=None):
+    """(node, design, table) for every node of the plan, children first, with
+    each table of averages up to `degree` (default the plan's) made as `build`
+    makes it: walked for a leaf, read off the children's tables for a product."""
     t = bp.degree
+    degree = t if degree is None else degree
     out = []
 
     def make(node):
-        if node.kind == "s0":
-            design = base_s0(t)
-        elif node.kind == "s1":
-            design = base_s1(t, phase=phase)
+        if node.kind != "product":
+            design = base_s0(t) if node.kind == "s0" else base_s1(t, phase=phase)
+            table = verify.walked_averages(design.points, degree)
         else:
             m, n = node.split
-            design = product(make(node.left), make(node.right), solve_cached(m, n, t // 2, SolverOptions(), quad_cache))
-        out.append((node, design))
-        return design
+            (X, left), (Y, right) = make(node.left), make(node.right)
+            design = product(X, Y, solve_cached(m, n, t // 2, SolverOptions(), quad_cache))
+            table = verify.product_averages(left, right, design._scales, m, n, degree)
+        out.append((node, design, table))
+        return design, table
 
     make(bp.root)
     return out
@@ -294,6 +298,16 @@ def verdicts(design, t):
     return [r.passed for r in verify_design(design, t, 1e-9)]
 
 
+def table_pairs(table, dim, t):
+    """(alpha, deviation) for every |alpha| <= t of a table of averages, in graded order."""
+    alphas, moments, _, _ = verify._exact_constants(dim, t)
+    return list(zip(alphas, table - moments))
+
+
+def table_verdicts(table, dim, t):
+    return [r.passed for r in verify.verify_averages(table, dim, t, 1e-9)]
+
+
 class TestFactoredTable:
     """A product's table read off its factors' tables, against the walk over its points."""
 
@@ -304,23 +318,24 @@ class TestFactoredTable:
          (5, 4, {6: (4, 2)}, 0.0), (4, 5, {5: (1, 4)}, 0.0), (3, 5, None, 0.3)],
     )
     def test_matches_direct_walk(self, quad_cache, n, t, overrides, phase):
-        for node, design in factored_tree(construct.plan(n, t, overrides), quad_cache, phase):
-            if node.kind != "product":
-                continue
-            assert verify._intact_factors(design) is not None
-            direct = walked(design)
-            for degree in (t, t + 1):
-                factored = deviation_pairs(design, degree)
+        for degree in (t, t + 1):
+            for node, design, table in factored_tree(construct.plan(n, t, overrides), quad_cache, phase, degree):
+                if node.kind != "product":
+                    continue
+                direct = walked(design)
+                factored = table_pairs(table, design.ambient_dim, degree)
                 walk = deviation_pairs(direct, degree)
                 assert [alpha for alpha, _ in factored] == [alpha for alpha, _ in walk]
                 gap = max(abs(a - b) for (_, a), (_, b) in zip(factored, walk))
                 assert gap <= 1e-18, (node.ambient_dim, degree, float(gap))
-                assert verdicts(design, degree) == verdicts(direct, degree)
+                assert table_verdicts(table, design.ambient_dim, degree) == verdicts(direct, degree)
 
     def test_moved_quadrature_node_fails_at_its_product(self, quad_cache):
-        design = product(base_s1(5), base_s0(5), moved_rule())
-        assert verify._intact_factors(design) is not None
-        reports = verify_design(design, 5, 1e-9)
+        circle, pair = base_s1(5), base_s0(5)
+        design = product(circle, pair, moved_rule())
+        table = verify.product_averages(verify.walked_averages(circle.points, 5), verify.walked_averages(pair.points, 5),
+                                        design._scales, 2, 1, 5)
+        reports = verify.verify_averages(table, 3, 5, 1e-9)
         assert not all(r.passed for r in reports)
         direct = verify_design(walked(design), 5, 1e-9)
         assert [r.max_abs_residual for r in reports] == pytest.approx([r.max_abs_residual for r in direct], rel=1e-6)
@@ -353,11 +368,6 @@ class TestFactoredTable:
         assert all(verdicts(design, 5))
         assert entries == [3]
 
-    def test_writable_factor_keeps_no_factors(self, quad_cache):
-        circle = Design(ambient_dim=2, degree=5, points=base_s1(5).points.copy())
-        design = product(circle, base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
-        assert design._factors is None
-
     def test_writable_points_keep_no_table(self):
         # an in-place write to writable points must show in the next certificate
         design = Design(ambient_dim=2, degree=3, points=base_s1(3).points.copy())
@@ -373,14 +383,6 @@ class TestFactoredTable:
         copied.points[0] = copied.points[1]
         assert not all(verdicts(copied, 5))
 
-    def test_points_are_read_only(self, quad_cache):
-        design = product(base_s1(5), base_s0(5), solve_cached(2, 1, 2, SolverOptions(), quad_cache))
-        with pytest.raises(ValueError):
-            design.points[0, 0] = 0
-        for leaf in (base_s0(3), base_s1(3)):
-            with pytest.raises(ValueError):
-                leaf.points[0, 0] = 0
-
     @pytest.mark.parametrize("n,t", [(5, 7), (6, 3)])
     def test_build_walks_only_leaf_points(self, monkeypatch, quad_cache, n, t):
         # a product's table costs O(C(d+t, t) + K t^2); a walk over its points would be O(N C(d+t, t))
@@ -393,7 +395,23 @@ class TestFactoredTable:
         bp = construct.plan(n, t)
         design, _ = construct.build(bp, cache_obj=quad_cache)
         assert entries == leaf_dims(bp.root)
-        assert design._factors is None and design._averages is None
+
+    def test_build_keeps_no_design_below_the_root(self, monkeypatch, quad_cache):
+        refs = []
+        real_product = construct.product
+
+        def recording_product(X, Y, quad):
+            refs.extend([weakref.ref(X), weakref.ref(Y)])
+            return real_product(X, Y, quad)
+
+        monkeypatch.setattr(construct, "product", recording_product)
+        gc.disable()
+        try:
+            design, _ = construct.build(construct.plan(5, 7), cache_obj=quad_cache)
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert len(refs) == 6 and not any(alive)
 
 
 class TestExactConstants:
