@@ -1,4 +1,4 @@
-"""Quadrature caches, in memory and on disk, plus a store of achieved build sizes.
+"""Quadrature caches, in memory and on disk.
 
 There is one lookup path over two stores.  `InMemoryQuadratureCache` holds
 the lookup and store logic; `QuadratureCache` is a subclass that changes only
@@ -8,12 +8,11 @@ tolerance magnitude reuse solves.  A bucket can hold a rule certified at a
 looser tolerance than the one asked for, so every hit is re-certified at the
 requested tolerance and served only if it passes; only certified rules are
 stored.  Disk writes are atomic (write a unique temp file, then rename) and
-idempotent: storing the same key twice leaves one file.  Each achieved build
-size is kept the same way, as a bare JSON integer in
-<root>/builds/<build_key>.json, so concurrent recorders never share a file
-and need no lock; the single-file index builds.json of earlier versions is
-not read.  `read_build_index` reads the sizes without creating anything.
-Corrupt entries are ignored with a warning and rebuilt.
+idempotent: storing the same key twice leaves one file.  Corrupt entries are
+ignored with a warning and rebuilt.  No build size is stored: `bounds`
+certifies sizes from the cached rules (`construct.certify_plan`), and the
+builds/ directory and builds.json of earlier versions are neither read nor
+deleted.
 """
 from __future__ import annotations
 
@@ -52,30 +51,6 @@ def key(m: int, n: int, t: int, tol: float) -> str:
     return f"m{m}_n{n}_t{t}_e{round(math.log10(tol))}"
 
 
-def build_key(n: int, t: int) -> str:
-    """Key of a t-design on S^n in the size store."""
-    return f"n{n}_t{t}"
-
-
-def read_build_index(root: Path) -> dict[str, int]:
-    """The sizes under <root>/builds, keyed by `build_key`, read only.
-
-    A missing directory reads as empty; a corrupt entry warns and is skipped.
-    The writer's temp files end in .tmp, so the glob never reads one.
-    """
-    index = {}
-    for path in sorted((Path(root) / "builds").glob("*.json")):
-        try:
-            size = json.loads(path.read_text())
-        except ValueError:
-            size = None
-        if type(size) is not int:
-            warnings.warn(f"ignoring corrupt build index entry {path}")
-            continue
-        index[path.stem] = size
-    return index
-
-
 class InMemoryQuadratureCache:
     """Session-local quadrature store, and the lookup path of both caches."""
 
@@ -110,8 +85,7 @@ class QuadratureCache(InMemoryQuadratureCache):
     """Quadratures as <key>.json files under root/quadratures, shared across runs."""
 
     def __init__(self, root: Path | str):
-        self.root = Path(root)
-        self.quad_dir = self.root / "quadratures"
+        self.quad_dir = Path(root) / "quadratures"
         self.quad_dir.mkdir(parents=True, exist_ok=True)
 
     def _read(self, k: str) -> Quadrature | None:
@@ -127,9 +101,3 @@ class QuadratureCache(InMemoryQuadratureCache):
     def _write(self, k: str, q: Quadrature) -> None:
         atomic_write_text(self.quad_dir / (k + ".json"), dump_json(q.to_json_dict()))
 
-    # -- achieved build cardinalities, consumed by the bounds table --------
-
-    def record_build(self, n: int, t: int, cardinality: int) -> None:
-        build_dir = self.root / "builds"
-        build_dir.mkdir(exist_ok=True)
-        atomic_write_text(build_dir / (build_key(n, t) + ".json"), dump_json(cardinality))

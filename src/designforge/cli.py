@@ -22,12 +22,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, build_key, dump_json, read_build_index
+from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
 from .construct import (
     BuildError,
     Design,
     a_sequence,
     build,
+    certify_plan,
     lower_bound,
     plan,
     solve_cached,
@@ -155,6 +156,10 @@ class _SignedArguments(click.Command):
         return super().parse_args(ctx, args)
 
 
+class _NoRule(Exception):
+    """A rule the bounds table needs is not cached, or fails re-certification."""
+
+
 @main.command(cls=_SignedArguments)
 @click.argument("n", type=int, callback=_at_least(1))
 @click.argument("t_max", type=int, callback=_at_least(0))
@@ -162,20 +167,28 @@ class _SignedArguments(click.Command):
 @_cache_dir_option
 def bounds(n, t_max, fmt, cache_dir):
     """Print, for t = 1..T_MAX, the size lower bound on S^N, the growth
-    exponent, t^exponent, and any cardinality achieved by earlier builds.
-    Reads the sizes in the cache's builds/ (not an old builds.json), creates nothing."""
-    index = read_build_index(cache_dir) if cache_dir else {}
+    exponent, t^exponent, and the size of the default tree certified from the
+    rules cached under --cache-dir at build's default tolerances and phase
+    (builds with --plan or another --tol-quad do not feed it).  A size can
+    show for a t never built: t = 2s and 2s+1 share their rules.  "-" means a
+    rule is missing or fails, or the tree fails.  Creates nothing."""
+    cache = QuadratureCache(cache_dir) if cache_dir and (cache_dir / "quadratures").is_dir() else None
+
+    def rule_for(m, k, degree):
+        rule = cache.lookup(m, k, degree, SolverOptions().tolerance)
+        if rule is None:
+            raise _NoRule
+        return rule
+
+    def achieved(t):
+        try:
+            return certify_plan(plan(n, t), rule_for)[0].cardinality if cache else None
+        except (_NoRule, BuildError):
+            return None
+
     exponent = a_sequence(n)
-    rows = []
-    for t in range(1, t_max + 1):
-        rows.append(
-            {
-                "t": t,
-                "lower_bound": lower_bound(n, t),
-                "t_pow_exponent": t**exponent,
-                "achieved": index.get(build_key(n, t)),
-            }
-        )
+    rows = [{"t": t, "lower_bound": lower_bound(n, t), "t_pow_exponent": t**exponent, "achieved": achieved(t)}
+            for t in range(1, t_max + 1)]
     if fmt == "json":
         click.echo(json.dumps({"n": n, "exponent": exponent, "rows": rows}, indent=2))
         return
@@ -184,10 +197,8 @@ def bounds(n, t_max, fmt, cache_dir):
     click.echo(header)
     click.echo("-" * len(header))
     for row in rows:
-        achieved = row["achieved"] if row["achieved"] is not None else "-"
-        click.echo(
-            f"{row['t']:>4}  {row['lower_bound']:>12}  {row['t_pow_exponent']:>14}  {achieved:>10}"
-        )
+        size = row["achieved"] if row["achieved"] is not None else "-"
+        click.echo(f"{row['t']:>4}  {row['lower_bound']:>12}  {row['t_pow_exponent']:>14}  {size:>10}")
 
 
 @main.command(cls=_SignedArguments)
@@ -269,8 +280,6 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
     except (BuildError, NoConvergenceError) as exc:
         click.echo(f"build failed: {exc}", err=True)
         sys.exit(1)
-    if cache:
-        cache.record_build(n, t, design.count)
     if output:
         if fmt == "csv":
             atomic_write_text(output, _design_csv(design))

@@ -19,11 +19,12 @@ splits into (2, 1), i.e. a polygon times {-1, +1} (the quadrature there
 needs O(t^2) nodes, so the three-dimensional sphere costs O(t^3) points).
 `a_sequence` gives the resulting cardinality growth exponents.
 
-`build` walks the plan bottom-up along one path for leaves and products
-alike: make the node's design and its table of monomial averages (walked
-over a leaf's points, read off the children's tables for a product), certify
-the table with `verify.verify_averages`, and record the worst residual of its
-certificates in the node's report.
+`build` makes two passes over the plan.  `certify_plan` walks it bottom-up,
+certifying each node's table of monomial averages (walked over a leaf's
+points, read off the children's tables and the rule's scales for a product)
+and recording its size, K*M*N at a product; it needs rules, not product
+points, so `bounds` runs it on cached rules alone.  Only then does `build`
+form the points with `product`, which scales by the same `_scales_of` values.
 """
 from __future__ import annotations
 
@@ -56,8 +57,6 @@ class Design:
     ambient_dim: int
     degree: int
     points: np.ndarray
-    # set by `product`: row k holds the scales (s_k, c_k) it multiplied the factors by
-    _scales: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.longdouble))
@@ -122,6 +121,16 @@ def base_s1(t: int, phase: float = 0.0) -> Design:
     return Design(ambient_dim=2, degree=t, points=np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
+def _leaf(kind: str, t: int, phase: float) -> Design:
+    return base_s0(t) if kind == "s0" else base_s1(t, phase=phase)
+
+
+def _scales_of(T: Quadrature) -> np.ndarray:
+    """Row k holds (sqrt((1-t_k)/2), sqrt((1+t_k)/2)) in long double."""
+    nodes = T.nodes.astype(np.longdouble)
+    return np.sqrt(np.maximum(np.column_stack([(1 - nodes) / 2, (1 + nodes) / 2]), np.longdouble(0)))
+
+
 def product(X: Design, Y: Design, T: Quadrature) -> Design:
     """Combine designs on the spheres of R^m and R^n into one on R^{m+n}.
 
@@ -133,9 +142,9 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
     becomes a polynomial of degree <= d/2 in the node.  T must be certified:
     a hand-made rule can be marked `certified=True` by its maker.
 
-    The output keeps the scales in `_scales`, row k holding (s_k, c_k), so
-    `build` reads its moments off its factors' (`verify.product_averages`)
-    instead of walking its K*M*N points.
+    The scales are `_scales_of(T)`, the values `certify_plan` reads the
+    product's moments with (`verify.product_averages`), so the certificate
+    is that of these points.
     """
     m, n = T.weight.m, T.weight.n
     if X.ambient_dim != m:
@@ -146,15 +155,12 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
         raise ValueError("quadrature is not certified")
 
     degree = min(X.degree, Y.degree, 2 * T.degree + 1)
-    nodes = T.nodes.astype(np.longdouble)
-    scales = np.sqrt(np.maximum(np.column_stack([(1 - nodes) / 2, (1 + nodes) / 2]), np.longdouble(0)))
+    scales = _scales_of(T)
     points = np.empty((T.K * X.count * Y.count, m + n), dtype=np.longdouble)
     blocks = points.reshape(T.K, X.count * Y.count, m + n)
     np.multiply(scales[:, 0, None, None], np.repeat(X.points, Y.count, axis=0), out=blocks[:, :, :m])
     np.multiply(scales[:, 1, None, None], np.tile(Y.points, (X.count, 1)), out=blocks[:, :, m:])
-    design = Design(ambient_dim=m + n, degree=degree, points=points)
-    design._scales = scales
-    return design
+    return Design(ambient_dim=m + n, degree=degree, points=points)
 
 
 @cache
@@ -337,51 +343,42 @@ def solve_cached(
     return q
 
 
-def build(
+def certify_plan(
     bp: BuildPlan,
-    solver_opts: SolverOptions | None = None,
+    rule_for,
     design_tol: float = 1e-9,
-    cache_obj=None,
     phase: float = 0.0,
-) -> tuple[Design, BuildReport]:
-    """Execute a build plan bottom-up and certify every node.
+) -> tuple[BuildNodeReport, dict[str, Quadrature]]:
+    """Certify every node of a plan without forming a product's points.
 
-    A leaf is exact by construction; a product node first solves (or fetches
-    from cache) its equal-weight quadrature of degree floor(t/2), which is
-    enough for degree t (see `product`).  A leaf's table of monomial averages
-    is walked over its points; a product's is read off its children's tables
-    and the scales `product` used (`verify.product_averages`), and a product
-    design without them is walked.  `verify.verify_averages` reads the
-    monomial and, from ambient 2 up, the pairwise certificate off the table.
-    Only the tables pass up the tree, so no design below the root outlives
-    the build.  Raises BuildError naming the offending node if any
-    certificate exceeds design_tol, and propagates NoConvergenceError from
-    the quadrature solver.
+    `rule_for(m, n, degree)` returns a product node's equal-weight rule of
+    degree floor(t/2), enough for degree t (see `product`).  A leaf's table
+    of monomial averages is walked over its points, a product's is read off
+    its children's tables and its rule's scales (`verify.product_averages`);
+    `verify.verify_averages` reads the monomial and, from ambient 2 up, the
+    pairwise certificate off it.  Returns the root's report and each product
+    node's rule by node path.  Raises BuildError naming the first node whose
+    certificate exceeds design_tol; what `rule_for` raises passes through.
     """
     t = bp.degree
-    solver_opts = solver_opts or SolverOptions()
-    if cache_obj is None:
-        cache_obj = InMemoryQuadratureCache()
+    rules = {}
 
-    def execute(node: PlanNode, path: str) -> tuple[Design, np.ndarray, BuildNodeReport]:
-        product_fields, table = {}, None
-        if node.kind == "s0":
-            design = base_s0(t)
-        elif node.kind == "s1":
-            design = base_s1(t, phase=phase)
-        else:
-            X, left_table, left_report = execute(node.left, path + "L")
-            Y, right_table, right_report = execute(node.right, path + "R")
+    def execute(node: PlanNode, path: str) -> tuple[np.ndarray, BuildNodeReport]:
+        product_fields = {}
+        if node.kind == "product":
             m, n = node.split
-            quad = solve_cached(m, n, t // 2, solver_opts, cache_obj)
-            design = product(X, Y, quad)
-            if design._scales is not None:
-                table = _verify.product_averages(left_table, right_table, design._scales, m, n, t)
-            product_fields = dict(m=m, n=n, K=quad.K, M=X.count, N=Y.count,
-                                  quad_residual=quad.max_abs_residual, children=[left_report, right_report])
-        if table is None:
-            table = _verify.walked_averages(design.points, t)
-        checks = _verify.verify_averages(table, design.ambient_dim, t, design_tol)
+            rule = rules[path] = rule_for(m, n, t // 2)  # first, so a missing rule ends the walk early
+            left_table, left_report = execute(node.left, path + "L")
+            right_table, right_report = execute(node.right, path + "R")
+            table = _verify.product_averages(left_table, right_table, _scales_of(rule), m, n, t)
+            cardinality = rule.K * left_report.cardinality * right_report.cardinality
+            product_fields = dict(m=m, n=n, K=rule.K, M=left_report.cardinality, N=right_report.cardinality,
+                                  quad_residual=rule.max_abs_residual, children=[left_report, right_report])
+        else:
+            points = _leaf(node.kind, t, phase).points
+            table = _verify.walked_averages(points, t)
+            cardinality = len(points)
+        checks = _verify.verify_averages(table, node.ambient_dim, t, design_tol)
         residual = max(r.max_abs_residual for r in checks)
         if not all(r.passed for r in checks):
             raise BuildError(
@@ -389,29 +386,44 @@ def build(
                 f"(S^{node.ambient_dim - 1}, residual {residual:.3e} > {design_tol:g})",
                 node_path=path or "root",
             )
-        report = BuildNodeReport(
-            path=path,
-            ambient_dim=node.ambient_dim,
-            kind=node.kind,
-            cardinality=design.count,
-            verify_method="+".join(r.method for r in checks),
-            verify_residual=residual,
-            **product_fields,
-        )
-        return design, table, report
+        return table, BuildNodeReport(path=path, ambient_dim=node.ambient_dim, kind=node.kind, cardinality=cardinality,
+                                      verify_method="+".join(r.method for r in checks), verify_residual=residual,
+                                      **product_fields)
 
-    design, _, root_report = execute(bp.root, "")
-    report = BuildReport(
-        sphere_dim=bp.sphere_dim,
-        degree=t,
-        total_points=design.count,
-        exponent=a_sequence(bp.sphere_dim),
-        dgs_lower_bound=lower_bound(bp.sphere_dim, t),
-        max_residual=_max_residual(root_report),
-        passed=True,
-        root=root_report,
+    _, root_report = execute(bp.root, "")
+    return root_report, rules
+
+
+def build(
+    bp: BuildPlan,
+    solver_opts: SolverOptions | None = None,
+    design_tol: float = 1e-9,
+    cache_obj=None,
+    phase: float = 0.0,
+) -> tuple[Design, BuildReport]:
+    """Certify a build plan with `certify_plan`, each rule solved or fetched
+    from `cache_obj` by `solve_cached`, then form its points with `product`;
+    no design below the root outlives the build.  Raises BuildError naming
+    the offending node if any certificate exceeds design_tol, and propagates
+    NoConvergenceError from the quadrature solver.
+    """
+    t = bp.degree
+    solver_opts = solver_opts or SolverOptions()
+    if cache_obj is None:
+        cache_obj = InMemoryQuadratureCache()
+    root_report, rules = certify_plan(
+        bp, lambda m, n, degree: solve_cached(m, n, degree, solver_opts, cache_obj), design_tol, phase
     )
-    return design, report
+
+    def form(node: PlanNode, path: str) -> Design:
+        if node.kind != "product":
+            return _leaf(node.kind, t, phase)
+        return product(form(node.left, path + "L"), form(node.right, path + "R"), rules[path])
+
+    report = BuildReport(sphere_dim=bp.sphere_dim, degree=t, total_points=root_report.cardinality,
+                         exponent=a_sequence(bp.sphere_dim), dgs_lower_bound=lower_bound(bp.sphere_dim, t),
+                         max_residual=_max_residual(root_report), passed=True, root=root_report)
+    return form(bp.root, ""), report
 
 
 def _max_residual(node: BuildNodeReport) -> float:

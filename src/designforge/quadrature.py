@@ -30,6 +30,7 @@ Certification re-evaluates the residuals in extended precision.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -130,14 +131,17 @@ class Quadrature:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Quadrature":
+        for name in ("m", "n", "degree", "K"):
+            if type(data[name]) is not int:  # also rejects a bool, which is an int to Python
+                raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
         q = cls(
-            weight=JacobiWeight(int(data["m"]), int(data["n"])),
-            degree=int(data["degree"]),
+            weight=JacobiWeight(data["m"], data["n"]),
+            degree=data["degree"],
             nodes=decode_floats(data, "nodes"),
         )
         q.certified = bool(data.get("certified", False))
         q.max_abs_residual = float(data.get("max_abs_residual", math.nan))
-        if q.K != int(data["K"]):
+        if q.K != data["K"]:
             raise ValueError(f"node count {q.K} does not match recorded K={data['K']}")
         return q
 

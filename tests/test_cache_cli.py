@@ -1,5 +1,6 @@
 """Disk cache semantics, file formats, CLI behavior, and determinism."""
 import json
+import math
 import os
 import stat
 import sys
@@ -26,7 +27,7 @@ from designforge import (
     plan,
     solve_equal_weight,
 )
-from designforge.cache import QuadratureCache, atomic_write_text, build_key, dump_json, key, read_build_index
+from designforge.cache import QuadratureCache, atomic_write_text, dump_json, key
 from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_rows, _load_design, main
 from designforge.quadrature import encode_floats
 
@@ -121,44 +122,6 @@ class TestQuadratureCache:
         memory.store(q)
         assert list(memory._store) == [p.stem for p in disk.quad_dir.glob("*.json")]
 
-    def test_build_index(self, tmp_path):
-        cache = QuadratureCache(tmp_path)
-        assert build_key(2, 3) not in read_build_index(tmp_path)
-        cache.record_build(2, 3, 24)
-        assert read_build_index(tmp_path)[build_key(2, 3)] == 24
-
-    def test_concurrent_record_build_keeps_every_entry(self, tmp_path):
-        # an unlocked read-modify-write lets one recorder overwrite another's entry
-        cache = QuadratureCache(tmp_path)
-        recorders, rounds = 8, 25
-        start = threading.Barrier(recorders)
-        errors = []
-
-        def record(n):
-            try:
-                start.wait()
-                for t in range(1, rounds + 1):
-                    cache.record_build(n, t, 100 * n + t)
-            except Exception as exc:  # noqa: BLE001 - collected and asserted below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=record, args=(n,), daemon=True) for n in range(1, recorders + 1)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert errors == []
-        index = read_build_index(tmp_path)
-        for n in range(1, recorders + 1):
-            for t in range(1, rounds + 1):
-                assert index.get(build_key(n, t)) == 100 * n + t, (n, t)
-
 
 class TestAtomicWrite:
     def test_mode_follows_the_umask_at_write_time(self, tmp_path):
@@ -239,44 +202,51 @@ class TestBoundsCommand:
         assert result.exit_code == 0, result.output
         assert not cache_dir.exists()
 
-
-def _write_size_entry(cache_dir, name, content):
-    (cache_dir / "builds").mkdir(parents=True, exist_ok=True)
-    (cache_dir / "builds" / f"{name}.json").write_text(content)
-
-
-@pytest.mark.parametrize("content", ["[]", '{"n2_t1": "x"}'])
-class TestCorruptBuildIndex:
-    """Valid JSON that is not an integer is a corrupt size entry."""
-
-    def test_bounds_warns_and_shows_no_size(self, runner, tmp_path, content):
-        _write_size_entry(tmp_path, "n2_t1", content)
-        with pytest.warns(UserWarning, match="corrupt build index"):
-            result = runner.invoke(main, ["bounds", "2", "2", "--format", "json", "--cache-dir", str(tmp_path)])
+    @pytest.mark.parametrize("n,t", [(1, 5), (2, 4), (3, 4), (4, 3), (5, 2)])
+    def test_achieved_is_certified_from_the_cached_rules(self, runner, tmp_path, built, n, t):
+        cache_dir, report = tmp_path / "c", tmp_path / "r.json"
+        result = runner.invoke(main, ["build", str(n), str(t), "--cache-dir", str(cache_dir), "--report-out", str(report)])
         assert result.exit_code == 0, result.output
-        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None, None]
-
-    def test_build_writes_outputs_and_a_fresh_index(self, runner, tmp_path, content):
-        # recording a size never reads the entry it replaces, so the build does not warn
-        cache_dir = tmp_path / "cache"
-        _write_size_entry(cache_dir, "n2_t1", content)
-        out, report = tmp_path / "d.json", tmp_path / "r.json"
-        args = ["build", "2", "1", "--cache-dir", str(cache_dir), "-o", str(out), "--report-out", str(report)]
-        result = runner.invoke(main, args)
+        assert [p.name for p in cache_dir.iterdir()] == ["quadratures"]
+        result = runner.invoke(main, ["bounds", str(n), str(t + 1), "--format", "json", "--cache-dir", str(cache_dir)])
         assert result.exit_code == 0, result.output
-        assert json.loads(out.read_text())["degree"] == 1
-        total = json.loads(report.read_text())["total_points"]
-        assert json.loads((cache_dir / "builds" / "n2_t1.json").read_text()) == total
-        result = runner.invoke(main, ["bounds", "2", "1", "--format", "json", "--cache-dir", str(cache_dir)])
-        assert json.loads(result.output)["rows"][0]["achieved"] == total
+        achieved = [row["achieved"] for row in json.loads(result.output)["rows"]]
+        assert achieved[t - 1] == json.loads(report.read_text())["total_points"]
+        # the default tree of degree s needs rules of degree s // 2 only, and S^1's needs none
+        for s in range(1, t + 2):
+            cached = n == 1 or s // 2 == t // 2
+            assert achieved[s - 1] == (built(n, s)[1].total_points if cached else None), s
 
-    def test_corrupt_entry_hides_only_its_own_row(self, runner, tmp_path, content):
-        _write_size_entry(tmp_path, "n2_t1", content)
-        QuadratureCache(tmp_path).record_build(2, 2, 6)
-        with pytest.warns(UserWarning, match="corrupt build index"):
-            result = runner.invoke(main, ["bounds", "2", "2", "--format", "json", "--cache-dir", str(tmp_path)])
+    @pytest.mark.parametrize("built_first", [False, True])
+    def test_bounds_changes_no_existing_directory(self, runner, tmp_path, built_first):
+        if built_first:
+            assert runner.invoke(main, ["build", "2", "2", "--cache-dir", str(tmp_path)]).exit_code == 0
+        listing = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(main, ["bounds", "2", "3", "--format", "json", "--cache-dir", str(tmp_path)])
         assert result.exit_code == 0, result.output
-        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None, 6]
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == ([None, 6, 8] if built_first else [None] * 3)
+        assert sorted(tmp_path.rglob("*")) == listing
+
+    @pytest.mark.parametrize("field", ["m", "n", "degree", "K"])
+    def test_non_integer_rule_field_hides_only_its_rows(self, runner, tmp_path, field):
+        # int(1e999) raises OverflowError, which once escaped the cache as a traceback
+        for t in ("1", "2", "4"):
+            assert runner.invoke(main, ["build", "2", t, "--cache-dir", str(tmp_path)]).exit_code == 0
+        path = tmp_path / "quadratures" / (key(2, 1, 1, 1e-12) + ".json")
+        data = json.loads(path.read_text())
+        good = data[field]
+        data[field] = math.inf
+        path.write_text(json.dumps(data).replace("Infinity", "1e999"))
+        bounds = ["bounds", "2", "5", "--format", "json", "--cache-dir", str(tmp_path)]
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            result = runner.invoke(main, bounds)
+        assert result.exit_code == 0, result.output
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [4, None, None, 20, 24]
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            result = runner.invoke(main, ["build", "2", "2", "--cache-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(path.read_text())[field] == good
+        assert [row["achieved"] for row in json.loads(runner.invoke(main, bounds).output)["rows"]] == [4, 6, 8, 20, 24]
 
 
 class TestQuadratureCommand:

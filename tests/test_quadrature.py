@@ -347,3 +347,11 @@ class TestQuadratureType:
         back = Quadrature.from_json_dict(data)
         assert np.array_equal(back.nodes, q.nodes)
         assert back.to_json_dict() == data
+
+    @pytest.mark.parametrize("field", ["m", "n", "degree", "K"])
+    @pytest.mark.parametrize("value", [float("inf"), 2.0, True, "2"])
+    def test_json_counts_must_be_integers(self, field, value):
+        data = solve_equal_weight(JacobiWeight(2, 1), 1)[0].to_json_dict()
+        data[field] = value
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            Quadrature.from_json_dict(data)

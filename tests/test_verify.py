@@ -142,28 +142,32 @@ class TestPairwiseAgainstBlockSum:
         assert not verify_gegenbauer(bad, 3, 1e-9).passed
         assert not gegenbauer_block_sum(bad, 3, 1e-9).passed
 
+    @staticmethod
+    def move_root_rule(monkeypatch, shift):
+        """Serve S^6's root rule, (3, 4) of degree 1, with one node moved by `shift`."""
+        real_solve = construct.solve_cached
+
+        def solve_moving_root_node(m, n, t, opts, cache_obj):
+            rule = real_solve(m, n, t, opts, cache_obj)
+            if (m, n) != (3, 4):
+                return rule
+            nodes = rule.nodes.copy()
+            nodes[0] += shift
+            return Quadrature(weight=rule.weight, degree=t, nodes=nodes, certified=True)
+
+        monkeypatch.setattr(construct, "solve_cached", solve_moving_root_node)
+
     def test_build_rejects_corrupted_ambient_seven_root(self, monkeypatch, quad_cache):
-        real_product = construct.product
-
-        def corrupting_product(X, Y, quad):
-            design = real_product(X, Y, quad)
-            return corrupted(design, delta=0.1) if design.ambient_dim == 7 else design
-
-        monkeypatch.setattr(construct, "product", corrupting_product)
+        # both certificates fail: monomial 1.7e-2, pairwise 1.7e-3
+        self.move_root_rule(monkeypatch, 0.1)
         with pytest.raises(BuildError) as excinfo:
             construct.build(construct.plan(6, 3), cache_obj=quad_cache)
         assert excinfo.value.node_path == "root"
 
     def test_build_rejects_ambient_seven_root_moved_by_default_shift(self, monkeypatch, quad_cache):
-        # the pairwise residual of a 1e-3 move is far below 1e-9; the
-        # monomial certificate, read at every node, catches it
-        real_product = construct.product
-
-        def corrupting_product(X, Y, quad):
-            design = real_product(X, Y, quad)
-            return corrupted(design) if design.ambient_dim == 7 else design
-
-        monkeypatch.setattr(construct, "product", corrupting_product)
+        # the pairwise residual of moved_rule's 1e-6 shift is about 1.7e-13,
+        # far below 1e-9; the monomial certificate, read at every node, catches it
+        self.move_root_rule(monkeypatch, 1e-6)
         with pytest.raises(BuildError) as excinfo:
             construct.build(construct.plan(6, 3), cache_obj=quad_cache)
         assert excinfo.value.node_path == "root"
@@ -258,8 +262,9 @@ def count_walks(monkeypatch):
 
 def factored_tree(bp, quad_cache, phase=0.0, degree=None):
     """(node, design, table) for every node of the plan, children first, with
-    each table of averages up to `degree` (default the plan's) made as `build`
-    makes it: walked for a leaf, read off the children's tables for a product."""
+    each table of averages up to `degree` (default the plan's) made as
+    `construct.certify_plan` makes it: walked for a leaf, read off the
+    children's tables and the rule's scales for a product."""
     t = bp.degree
     degree = t if degree is None else degree
     out = []
@@ -271,8 +276,9 @@ def factored_tree(bp, quad_cache, phase=0.0, degree=None):
         else:
             m, n = node.split
             (X, left), (Y, right) = make(node.left), make(node.right)
-            design = product(X, Y, solve_cached(m, n, t // 2, SolverOptions(), quad_cache))
-            table = verify.product_averages(left, right, design._scales, m, n, degree)
+            rule = solve_cached(m, n, t // 2, SolverOptions(), quad_cache)
+            design = product(X, Y, rule)
+            table = verify.product_averages(left, right, construct._scales_of(rule), m, n, degree)
         out.append((node, design, table))
         return design, table
 
@@ -281,7 +287,7 @@ def factored_tree(bp, quad_cache, phase=0.0, degree=None):
 
 
 def walked(design):
-    """The same points in a design without factors, whose table is walked."""
+    """A new design holding a copy of the points."""
     return Design(ambient_dim=design.ambient_dim, degree=design.degree, points=design.points.copy())
 
 
@@ -331,10 +337,10 @@ class TestFactoredTable:
                 assert table_verdicts(table, design.ambient_dim, degree) == verdicts(direct, degree)
 
     def test_moved_quadrature_node_fails_at_its_product(self, quad_cache):
-        circle, pair = base_s1(5), base_s0(5)
-        design = product(circle, pair, moved_rule())
+        circle, pair, rule = base_s1(5), base_s0(5), moved_rule()
+        design = product(circle, pair, rule)
         table = verify.product_averages(verify.walked_averages(circle.points, 5), verify.walked_averages(pair.points, 5),
-                                        design._scales, 2, 1, 5)
+                                        construct._scales_of(rule), 2, 1, 5)
         reports = verify.verify_averages(table, 3, 5, 1e-9)
         assert not all(r.passed for r in reports)
         direct = verify_design(walked(design), 5, 1e-9)
