@@ -171,18 +171,19 @@ def bounds(n, t_max, fmt, cache_dir):
     rules cached under --cache-dir at build's default tolerances and phase
     (builds with --plan or another --tol-quad do not feed it).  A size can
     show for a t never built: t = 2s and 2s+1 share their rules.  "-" means a
-    rule is missing or fails, or the tree fails.  Creates nothing."""
+    rule is missing or fails, or the tree fails; S^1 needs no rule.  Creates
+    nothing."""
     cache = QuadratureCache(cache_dir) if cache_dir and (cache_dir / "quadratures").is_dir() else None
 
     def rule_for(m, k, degree):
-        rule = cache.lookup(m, k, degree, SolverOptions().tolerance)
+        rule = cache.lookup(m, k, degree, SolverOptions().tolerance) if cache else None
         if rule is None:
             raise _NoRule
         return rule
 
     def achieved(t):
         try:
-            return certify_plan(plan(n, t), rule_for)[0].cardinality if cache else None
+            return certify_plan(plan(n, t), rule_for)[0].cardinality if cache_dir else None
         except (_NoRule, BuildError):
             return None
 

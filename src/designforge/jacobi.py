@@ -6,7 +6,10 @@ Approximation").  Since alpha and beta are half-integers here, every
 coefficient is an exact rational; we keep them as Fractions and convert to
 the requested float dtype once per (weight, count, dtype), on first use.
 Polynomials are orthonormal with respect to the weight normalized to unit
-mass, so P_0 = 1 and the exact average of P_d (d >= 1) is 0.
+mass, so P_0 = 1 and the exact average of P_d (d >= 1) is 0.  One stacked
+recurrence gives the values and derivatives from which the equal-weight
+solver forms its residuals and Jacobian; `quadrature` then solves each step
+in min(t, K) dimensions.
 """
 from __future__ import annotations
 
@@ -77,30 +80,35 @@ def orthonormal_values(
     Returns an array of shape (max_degree + 1, len(x)); with_derivative=True
     returns a (values, derivatives) pair.  Evaluation runs entirely in
     `dtype`, so passing np.longdouble gives extended-precision residuals.
+
+    Values and, when asked for, derivatives are the rows of one
+    (max_degree + 1, rows, len(x)) array, so each degree is one pass of the
+    recurrence over both:  P'_{k+1} = ((x - a_k) P'_k + P_k - sqrt(b_k) P'_{k-1})
+    / sqrt(b_{k+1}) shares every operation with P_{k+1} but the added P_k.
     """
     x = np.asarray(x, dtype=dtype)
     a, sqrt_b = _coefficients(w, max_degree + 1, dtype)
+    shift = x - a[:max_degree, None]  # row k is x - a_k
 
-    p = np.zeros((max_degree + 1, x.size), dtype=dtype)
-    p[0] = 1
-    dp = np.zeros_like(p) if with_derivative else None
-    prev = np.zeros_like(x)
-    prev_d = np.zeros_like(x)
+    out = np.zeros((max_degree + 1, 2 if with_derivative else 1, x.size), dtype=dtype)
+    out[0, 0] = 1
     for k in range(max_degree):
-        nxt = ((x - a[k]) * p[k] - (sqrt_b[k] * prev if k > 0 else 0)) / sqrt_b[k + 1]
+        nxt = out[k + 1]
+        np.multiply(shift[k], out[k], out=nxt)
         if with_derivative:
-            nxt_d = (p[k] + (x - a[k]) * dp[k] - (sqrt_b[k] * prev_d if k > 0 else 0)) / sqrt_b[k + 1]
-            prev_d = dp[k]
-            dp[k + 1] = nxt_d
-        prev = p[k]
-        p[k + 1] = nxt
+            nxt[1] += out[k, 0]
+        if k > 0:
+            nxt -= sqrt_b[k] * out[k - 1]
+        nxt /= sqrt_b[k + 1]
     if with_derivative:
-        return p, dp
-    return p
+        return out[:, 0], out[:, 1]
+    return out[:, 0]
 
 
+@cache
 def gauss_rule(w: JacobiWeight, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian nodes and weights for the weight w (Golub-Welsch).
+    """Gaussian nodes and weights for the weight w (Golub-Welsch), as read-only
+    arrays shared by every caller.
 
     The nodes are the eigenvalues of the symmetric tridiagonal matrix built
     from the recurrence coefficients; the weights are the squared first
@@ -111,16 +119,18 @@ def gauss_rule(w: JacobiWeight, num_nodes: int) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     diag, sqrt_b = _coefficients(w, num_nodes, np.float64)
     if num_nodes == 1:
-        return diag.copy(), np.array([w.mass])
-    off = sqrt_b[1:]
-    try:
-        from scipy.linalg import eigh_tridiagonal
+        nodes, weights = diag.copy(), np.array([w.mass])
+    else:
+        try:
+            from scipy.linalg import eigh_tridiagonal
 
-        nodes, vectors = eigh_tridiagonal(diag, off)
-    except Exception as exc:  # pragma: no cover - eigensolver failure is exotic
-        raise RuntimeError(
-            f"tridiagonal eigensolver failed for weight (m={w.m}, n={w.n}) "
-            f"with {num_nodes} nodes"
-        ) from exc
-    weights = w.mass * vectors[0, :] ** 2
+            nodes, vectors = eigh_tridiagonal(diag, sqrt_b[1:])
+        except Exception as exc:  # pragma: no cover - eigensolver failure is exotic
+            raise RuntimeError(
+                f"tridiagonal eigensolver failed for weight (m={w.m}, n={w.n}) "
+                f"with {num_nodes} nodes"
+            ) from exc
+        weights = w.mass * vectors[0, :] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights

@@ -20,7 +20,9 @@ polynomial p up to some degree t.  No closed-form construction is known, so
      (on a K too small for degree t the residual plateaus around
      1e-1..1e-2, while attempts that converge, surveyed over weights up to
      (4, 4), t <= 16 and three seeds, never went more than 11 iterations
-     without such a gain); or the fixed cap of MAX_ITERATIONS = 300;
+     without such a gain); or the fixed cap of MAX_ITERATIONS = 300.
+     Each step solves the damped normal equations in min(t, K) dimensions
+     (`_lm_step`), since at high degree K is several times t;
   4. when both fail, grow K geometrically (x1.5, rounded up) and retry up to
      max_K, then raise NoConvergenceError with the closest attempt's report.
 
@@ -237,6 +239,29 @@ def _init_quantile(w: JacobiWeight, K: int) -> np.ndarray:
     return np.arccos(t)[::-1].copy()
 
 
+def _lm_step(jac: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
+    """The Marquardt step (J^T J + lam D)^-1 J^T r for the t x K Jacobian J.
+
+    D is the diagonal of J^T J, floored at 1e-12 of its largest entry.  When
+    K > t the same step is solved as D^-1 J^T (J D^-1 J^T + lam I)^-1 r (the
+    push-through identity): one t x t system in place of a K x K one.
+    Raises LinAlgError when the system is singular.
+    """
+    t, K = jac.shape
+
+    def floored(diag):
+        return np.maximum(diag, 1e-12 * max(diag.max(), 1e-30))
+
+    if K <= t:
+        jtj = jac.T @ jac
+        jtj.flat[:: K + 1] += lam * floored(jtj.diagonal())
+        return np.linalg.solve(jtj, jac.T @ r)
+    scaled = jac / floored(np.einsum("ij,ij->j", jac, jac))
+    gram = scaled @ jac.T
+    gram.flat[:: t + 1] += lam
+    return np.linalg.solve(gram, r) @ scaled
+
+
 def _levenberg_marquardt(
     theta: np.ndarray,
     w: JacobiWeight,
@@ -258,9 +283,9 @@ def _levenberg_marquardt(
         p, dp = orthonormal_values(w, degree, x, with_derivative=True)
         r = p[1:].mean(axis=1)
         jac = dp[1:] * (-np.sin(th)) / K
-        return r, jac
+        return r, jac, np.linalg.norm(r)
 
-    r, jac = evaluate(theta)
+    r, jac, norm = evaluate(theta)
     lam = 1e-3
     iterations = 0
     best_theta, best_max = theta.copy(), float(np.max(np.abs(r)))
@@ -277,20 +302,15 @@ def _levenberg_marquardt(
             break
         stalled += 1
         iterations += 1
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        floor = 1e-12 * max(diag.max(), 1e-30)
-        diag[diag < floor] = floor
-        rhs = jac.T @ r
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), rhs)
+            step = _lm_step(jac, r, lam)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
         trial = theta - step
-        r_trial, jac_trial = evaluate(trial)
-        if np.linalg.norm(r_trial) < np.linalg.norm(r):
-            theta, r, jac = trial, r_trial, jac_trial
+        r_trial, jac_trial, norm_trial = evaluate(trial)
+        if norm_trial < norm:
+            theta, r, jac, norm = trial, r_trial, jac_trial, norm_trial
             lam = max(lam / 3.0, 1e-14)
         else:
             lam *= 4.0

@@ -9,6 +9,13 @@
   walk replaced: each monomial copies x_0^a_0 and multiplies in every other
   nonzero power, left to right.  The walk forms the same products, so the
   two must agree bit for bit.
+* `orthonormal_values_direct` is the per-row recurrence loop that the
+  stacked kernel `jacobi.orthonormal_values` replaced.  Both do the same
+  arithmetic in the same order, so they must agree bit for bit.
+* `same_bits` compares floating-point arrays by value and sign bit.
+  `tobytes()` will not do for long doubles: on x86-64 each 80-bit value is
+  stored in 16 bytes, and the 6 padding bytes are not initialised, so two
+  equal arrays can print different bytes.
 * `mc_moment_oracle` is deliberately dumb (normalized Gaussian sampling) and
   exists to cross-check the closed-form moments, not to certify designs.
 """
@@ -19,6 +26,7 @@ import math
 import numpy as np
 
 from designforge import MultiIndex, VerificationReport, iter_multi_indices, sphere_monomial_moment
+from designforge.jacobi import _coefficients
 
 
 def _zonal_value_at_one(k: int, dim: int) -> float:
@@ -95,6 +103,45 @@ def moment_deviations_direct(design, t: int) -> list[tuple[MultiIndex, np.longdo
         average = values.sum() / count
         out.append((alpha, average - np.longdouble(mu.numerator) / np.longdouble(mu.denominator)))
     return out
+
+
+def same_bits(a, b) -> bool:
+    """True when a and b have one dtype and shape and equal values with equal
+    sign bits (so -0.0 differs from 0.0), NaN matching NaN.
+
+    For an x86-64 long double this fixes all 80 significant bits of every
+    finite value without reading the padding bytes.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def orthonormal_values_direct(w, max_degree, x, dtype=np.float64, with_derivative=False):
+    """P_0..P_max_degree (and their derivatives) at x, one row per recurrence step."""
+    x = np.asarray(x, dtype=dtype)
+    a, sqrt_b = _coefficients(w, max_degree + 1, dtype)
+
+    p = np.zeros((max_degree + 1, x.size), dtype=dtype)
+    p[0] = 1
+    dp = np.zeros_like(p) if with_derivative else None
+    prev = np.zeros_like(x)
+    prev_d = np.zeros_like(x)
+    for k in range(max_degree):
+        nxt = ((x - a[k]) * p[k] - (sqrt_b[k] * prev if k > 0 else 0)) / sqrt_b[k + 1]
+        if with_derivative:
+            nxt_d = (p[k] + (x - a[k]) * dp[k] - (sqrt_b[k] * prev_d if k > 0 else 0)) / sqrt_b[k + 1]
+            prev_d = dp[k]
+            dp[k + 1] = nxt_d
+        prev = p[k]
+        p[k + 1] = nxt
+    if with_derivative:
+        return p, dp
+    return p
 
 
 def mc_moment_oracle(

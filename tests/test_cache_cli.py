@@ -227,6 +227,20 @@ class TestBoundsCommand:
         assert [row["achieved"] for row in json.loads(result.output)["rows"]] == ([None, 6, 8] if built_first else [None] * 3)
         assert sorted(tmp_path.rglob("*")) == listing
 
+    @pytest.mark.parametrize("rules_dir", [False, True])
+    def test_circle_sizes_need_no_rule(self, runner, tmp_path, rules_dir):
+        # S^1's tree is a polygon: its size shows whether or not quadratures/ exists
+        if rules_dir:
+            (tmp_path / "quadratures").mkdir()
+        for cache_dir in (tmp_path, tmp_path / "missing"):
+            listing = sorted(tmp_path.rglob("*"))
+            result = runner.invoke(main, ["bounds", "1", "3", "--format", "json", "--cache-dir", str(cache_dir)])
+            assert result.exit_code == 0, result.output
+            assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [2, 3, 4]
+            assert sorted(tmp_path.rglob("*")) == listing
+        result = runner.invoke(main, ["bounds", "1", "3", "--format", "json"])
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None] * 3
+
     @pytest.mark.parametrize("field", ["m", "n", "degree", "K"])
     def test_non_integer_rule_field_hides_only_its_rows(self, runner, tmp_path, field):
         # int(1e999) raises OverflowError, which once escaped the cache as a traceback

@@ -17,7 +17,8 @@ from designforge import (
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 import designforge.quadrature as quadrature_module
-from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt
+from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt, _lm_step
+from oracles import orthonormal_values_direct, same_bits
 
 mp.mp.dps = 40
 
@@ -87,6 +88,88 @@ class TestOrthonormalPolynomials:
                 assert values[d, i] == pytest.approx(oracle, abs=5e-15)
 
 
+class TestStackedRecurrence:
+    """The stacked kernel against the per-row loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_per_row_loop(self, m, n):
+        w = JacobiWeight(m, n)
+        rng = np.random.default_rng(10 * m + n)
+        for K in (1, 3, 14, 60):
+            x = rng.uniform(-1.0, 1.0, K)
+            x[0], x[-1] = -1.0, 1.0
+            for dtype in (np.float64, np.longdouble):
+                # the loop's first d + 1 rows do not depend on how far it runs
+                values, derivatives = orthonormal_values_direct(w, 40, x, dtype, with_derivative=True)
+                for degree in range(41):
+                    p, dp = orthonormal_values(w, degree, x, dtype, with_derivative=True)
+                    assert same_bits(p, values[: degree + 1]), (K, dtype, degree)
+                    assert same_bits(dp, derivatives[: degree + 1]), (K, dtype, degree)
+                    assert same_bits(orthonormal_values(w, degree, x, dtype), values[: degree + 1]), (K, dtype, degree)
+
+
+class TestLMStep:
+    """`_lm_step` against the Marquardt step (J^T J + lam D)^-1 J^T r."""
+
+    @staticmethod
+    def float64_step(jac, r, lam):
+        """The K x K step as the solver formed it before the t x t form."""
+        jtj = jac.T @ jac
+        diag = np.diag(jtj).copy()
+        floor = 1e-12 * max(diag.max(), 1e-30)
+        diag[diag < floor] = floor
+        return np.linalg.solve(jtj + lam * np.diag(diag), jac.T @ r)
+
+    @staticmethod
+    def exact_step(jac, r, lam):
+        """The same K x K step solved in 50-digit arithmetic."""
+        with mp.workdps(50):
+            J = mp.matrix(jac.tolist())
+            jtj = J.T * J
+            diag = [jtj[i, i] for i in range(jac.shape[1])]
+            floor = mp.mpf(1e-12) * max(max(diag), mp.mpf(1e-30))
+            for i, d in enumerate(diag):
+                jtj[i, i] += mp.mpf(lam) * max(d, floor)
+            return np.array([float(v) for v in mp.lu_solve(jtj, J.T * mp.matrix(r.tolist()))])
+
+    @pytest.mark.parametrize("t,K", [(1, 2), (3, 4), (5, 12), (10, 41)])
+    @pytest.mark.parametrize("lam", [1e-14, 1e-3, 10.0])
+    def test_t_by_t_step_matches_the_K_by_K_step(self, t, K, lam):
+        # at lam = 1e-14 the K x K matrix is singular but for the damping
+        # (rank t < K), and a float64 solve of it can be off by 1e-2 and
+        # more; the 50-digit solve is the reference there
+        rng = np.random.default_rng(1000 * t + K)
+        jac, r = rng.standard_normal((t, K)), rng.standard_normal(t)
+        step = _lm_step(jac, r, lam)
+        exact = self.exact_step(jac, r, lam)
+        assert np.linalg.norm(step - exact) <= 1e-10 * np.linalg.norm(exact)
+        if lam >= 1e-3:
+            float64 = self.float64_step(jac, r, lam)
+            assert np.linalg.norm(step - float64) <= 1e-10 * np.linalg.norm(float64)
+
+    @pytest.mark.parametrize("t,K", [(4, 4), (12, 5)])
+    def test_K_at_most_t_keeps_the_K_by_K_form(self, t, K):
+        rng = np.random.default_rng(t + K)
+        jac, r = rng.standard_normal((t, K)), rng.standard_normal(t)
+        for lam in (1e-14, 1e-3, 10.0):
+            assert same_bits(_lm_step(jac, r, lam), self.float64_step(jac, r, lam))
+
+    def test_floored_column_scale(self):
+        # a zero column of J gets the floored scale, not a division by zero
+        jac = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, -1.0]])
+        r = np.array([0.3, -0.2])
+        step = _lm_step(jac, r, 1e-3)
+        exact = self.exact_step(jac, r, 1e-3)
+        assert np.all(np.isfinite(step)) and step[1] == 0.0
+        assert np.linalg.norm(step - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("t,K", [(20, 89), (30, 183), (38, 345)])
+    def test_high_degree_keeps_K(self, t, K):
+        q, _ = solve_equal_weight(JacobiWeight(2, 1), t)
+        assert q.certified and q.K == K
+
+
 class TestCachedCoefficients:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("m,n", [(2, 1), (3, 3), (1, 4)])
@@ -99,11 +182,10 @@ class TestCachedCoefficients:
         assert np.array_equal(sqrt_b, np.sqrt(_to_dtype(b_frac, dtype)))
 
     def test_read_only(self):
-        a, sqrt_b = _coefficients(JacobiWeight(2, 2), 5, np.float64)
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-        with pytest.raises(ValueError):
-            sqrt_b[0] = 1.0
+        w = JacobiWeight(2, 1)
+        for array in (*_coefficients(w, 5, np.float64), *gauss_rule(w, 1), *gauss_rule(w, 5)):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestStallRule:
