@@ -66,8 +66,8 @@ class InMemoryQuadratureCache:
     def lookup(self, m: int, n: int, t: int, tol: float) -> Quadrature | None:
         """A fresh copy of the kept rule certified at `tol`, or None if none passes.
 
-        The kept `certified` flag and residual are not trusted: they may come
-        from a looser tolerance in the same key bucket, or from an edited file.
+        A kept rule may be certified at a looser tolerance in the same key
+        bucket, and a rule read from a file carries no certificate at all.
         """
         q = self._read(key(m, n, t, tol))
         if q is None or (q.weight.m, q.weight.n, q.degree) != (m, n, t):

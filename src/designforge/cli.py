@@ -24,6 +24,7 @@ import numpy as np
 
 from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
 from .construct import (
+    DESIGN_TOLERANCE,
     BuildError,
     Design,
     a_sequence,
@@ -101,10 +102,11 @@ def _solver_flags(command):
     def with_opts(tol_quad, max_k, seed, **kwargs):
         return command(opts=SolverOptions(tolerance=tol_quad, max_K=max_k, seed=seed), **kwargs)
 
+    defaults = SolverOptions()
     for option in reversed([
-        click.option("--tol-quad", type=float, default=1e-12, show_default=True, callback=_positive),
-        click.option("--max-k", type=int, default=512, show_default=True, callback=_at_least(1)),
-        click.option("--seed", type=int, default=0, show_default=True, help="Ignored: the solver is deterministic."),
+        click.option("--tol-quad", type=float, default=defaults.tolerance, show_default=True, callback=_positive),
+        click.option("--max-k", type=int, default=defaults.max_K, show_default=True, callback=_at_least(1)),
+        click.option("--seed", type=int, default=defaults.seed, show_default=True, help="Ignored: the solver is deterministic."),
     ]):
         with_opts = option(with_opts)
     return with_opts
@@ -183,7 +185,7 @@ def bounds(n, t_max, fmt, cache_dir):
 
     def achieved(t):
         try:
-            return certify_plan(plan(n, t), rule_for)[0].cardinality if cache_dir else None
+            return certify_plan(plan(n, t), rule_for)[0].total_points if cache_dir else None
         except (_NoRule, BuildError):
             return None
 
@@ -264,7 +266,7 @@ def _design_csv(design: Design) -> str:
 @click.option("--report-out", type=click.Path(dir_okay=False, path_type=Path), default=None, callback=_writable)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @_solver_flags
-@click.option("--tol-design", type=float, default=1e-9, show_default=True, callback=_positive)
+@click.option("--tol-design", type=float, default=DESIGN_TOLERANCE, show_default=True, callback=_positive)
 @click.option("--phase", type=float, default=0.0, show_default=True, callback=_finite, help="Rotation of polygon leaves (radians).")
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False, path_type=Path), default=None, help="JSON file mapping ambient dims to [m, n] split overrides.")
 @_cache_dir_option
@@ -368,7 +370,7 @@ def _load_design(path: Path, t: int) -> Design:
 @main.command()
 @click.argument("design_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("-t", "--degree", type=int, required=True, callback=_at_least(0))
-@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_positive)
+@click.option("--tol", type=float, default=DESIGN_TOLERANCE, show_default=True, callback=_positive)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(design_file, degree, tol, fmt):
     """Certify a point file at degree T with the certificates `build` applies;

@@ -19,17 +19,19 @@ splits into (2, 1), i.e. a polygon times {-1, +1} (the quadrature there
 needs O(t^2) nodes, so the three-dimensional sphere costs O(t^3) points).
 `a_sequence` gives the resulting cardinality growth exponents.
 
-`build` makes two passes over the plan.  `certify_plan` walks it bottom-up,
-certifying each node's table of monomial averages (walked over a leaf's
-points, read off the children's tables and the rule's scales for a product)
-and recording its size, K*M*N at a product; it needs rules, not product
-points, so `bounds` runs it on cached rules alone.  Only then does `build`
-form the points with `product`, which scales by the same `_scales_of` values.
+`build` walks the plan once.  `certify_plan` goes bottom-up, certifying
+each node's table of monomial averages (walked over a leaf's points, read
+off the children's tables and the rule's scales for a product) and
+recording its size, K*M*N at a product; it needs rules, not product
+points, so `bounds` runs it on cached rules alone.  It returns the build
+report and `form`, which makes the root's points with `product` from the
+very leaves and rules it certified, scaled by the same `_scales_of` values.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cache
 
@@ -42,6 +44,7 @@ from .quadrature import Quadrature, SolverOptions, decode_floats, encode_floats,
 
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _NORM_TOL = 1e-12
+DESIGN_TOLERANCE = 1e-9  # default bound on every node's certificate, for `build` and `verify`
 
 
 @dataclass(eq=False)
@@ -119,10 +122,6 @@ def base_s1(t: int, phase: float = 0.0) -> Design:
     j = np.arange(t + 1, dtype=np.longdouble)
     theta = 2 * _PI * j / np.longdouble(t + 1) + np.fmod(np.longdouble(phase), 2 * _PI)
     return Design(ambient_dim=2, degree=t, points=np.column_stack([np.cos(theta), np.sin(theta)]))
-
-
-def _leaf(kind: str, t: int, phase: float) -> Design:
-    return base_s0(t) if kind == "s0" else base_s1(t, phase=phase)
 
 
 def _scales_of(T: Quadrature) -> np.ndarray:
@@ -346,9 +345,9 @@ def solve_cached(
 def certify_plan(
     bp: BuildPlan,
     rule_for,
-    design_tol: float = 1e-9,
+    design_tol: float = DESIGN_TOLERANCE,
     phase: float = 0.0,
-) -> tuple[BuildNodeReport, dict[str, Quadrature]]:
+) -> tuple[BuildReport, Callable[[], Design]]:
     """Certify every node of a plan without forming a product's points.
 
     `rule_for(m, n, degree)` returns a product node's equal-weight rule of
@@ -356,28 +355,34 @@ def certify_plan(
     of monomial averages is walked over its points, a product's is read off
     its children's tables and its rule's scales (`verify.product_averages`);
     `verify.verify_averages` reads the monomial and, from ambient 2 up, the
-    pairwise certificate off it.  Returns the root's report and each product
-    node's rule by node path.  Raises BuildError naming the first node whose
-    certificate exceeds design_tol; what `rule_for` raises passes through.
+    pairwise certificate off it.  Returns the build report and `form`, which
+    makes the root's design from the leaf designs and rules certified here.
+    Raises BuildError naming the first node whose certificate exceeds
+    design_tol; what `rule_for` raises passes through.
     """
     t = bp.degree
-    rules = {}
 
-    def execute(node: PlanNode, path: str) -> tuple[np.ndarray, BuildNodeReport]:
+    def execute(node: PlanNode, path: str) -> tuple[np.ndarray, BuildNodeReport, Callable[[], Design]]:
         product_fields = {}
         if node.kind == "product":
             m, n = node.split
-            rule = rules[path] = rule_for(m, n, t // 2)  # first, so a missing rule ends the walk early
-            left_table, left_report = execute(node.left, path + "L")
-            right_table, right_report = execute(node.right, path + "R")
+            rule = rule_for(m, n, t // 2)  # first, so a missing rule ends the walk early
+            left_table, left_report, left_form = execute(node.left, path + "L")
+            right_table, right_report, right_form = execute(node.right, path + "R")
             table = _verify.product_averages(left_table, right_table, _scales_of(rule), m, n, t)
             cardinality = rule.K * left_report.cardinality * right_report.cardinality
             product_fields = dict(m=m, n=n, K=rule.K, M=left_report.cardinality, N=right_report.cardinality,
                                   quad_residual=rule.max_abs_residual, children=[left_report, right_report])
+
+            def form() -> Design:
+                return product(left_form(), right_form(), rule)
         else:
-            points = _leaf(node.kind, t, phase).points
-            table = _verify.walked_averages(points, t)
-            cardinality = len(points)
+            leaf = base_s0(t) if node.kind == "s0" else base_s1(t, phase=phase)
+            table = _verify.walked_averages(leaf.points, t)
+            cardinality = leaf.count
+
+            def form() -> Design:
+                return leaf
         checks = _verify.verify_averages(table, node.ambient_dim, t, design_tol)
         residual = max(r.max_abs_residual for r in checks)
         if not all(r.passed for r in checks):
@@ -388,42 +393,34 @@ def certify_plan(
             )
         return table, BuildNodeReport(path=path, ambient_dim=node.ambient_dim, kind=node.kind, cardinality=cardinality,
                                       verify_method="+".join(r.method for r in checks), verify_residual=residual,
-                                      **product_fields)
+                                      **product_fields), form
 
-    _, root_report = execute(bp.root, "")
-    return root_report, rules
+    _, root, form = execute(bp.root, "")
+    report = BuildReport(sphere_dim=bp.sphere_dim, degree=t, total_points=root.cardinality,
+                         exponent=a_sequence(bp.sphere_dim), dgs_lower_bound=lower_bound(bp.sphere_dim, t),
+                         max_residual=_max_residual(root), passed=True, root=root)
+    return report, form
 
 
 def build(
     bp: BuildPlan,
     solver_opts: SolverOptions | None = None,
-    design_tol: float = 1e-9,
+    design_tol: float = DESIGN_TOLERANCE,
     cache_obj=None,
     phase: float = 0.0,
 ) -> tuple[Design, BuildReport]:
     """Certify a build plan with `certify_plan`, each rule solved or fetched
-    from `cache_obj` by `solve_cached`, then form its points with `product`;
-    no design below the root outlives the build.  Raises BuildError naming
-    the offending node if any certificate exceeds design_tol, and propagates
-    NoConvergenceError from the quadrature solver.
+    from `cache_obj` by `solve_cached`, then form its points from the
+    certified leaves and rules; no design below the root outlives the build.
+    Raises BuildError naming the offending node if any certificate exceeds
+    design_tol, and propagates NoConvergenceError from the quadrature solver.
     """
-    t = bp.degree
     solver_opts = solver_opts or SolverOptions()
-    if cache_obj is None:
-        cache_obj = InMemoryQuadratureCache()
-    root_report, rules = certify_plan(
+    cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
+    report, form = certify_plan(
         bp, lambda m, n, degree: solve_cached(m, n, degree, solver_opts, cache_obj), design_tol, phase
     )
-
-    def form(node: PlanNode, path: str) -> Design:
-        if node.kind != "product":
-            return _leaf(node.kind, t, phase)
-        return product(form(node.left, path + "L"), form(node.right, path + "R"), rules[path])
-
-    report = BuildReport(sphere_dim=bp.sphere_dim, degree=t, total_points=root_report.cardinality,
-                         exponent=a_sequence(bp.sphere_dim), dgs_lower_bound=lower_bound(bp.sphere_dim, t),
-                         max_residual=_max_residual(root_report), passed=True, root=root_report)
-    return form(bp.root, ""), report
+    return form(), report
 
 
 def _max_residual(node: BuildNodeReport) -> float:

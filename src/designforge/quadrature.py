@@ -133,6 +133,7 @@ class Quadrature:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Quadrature":
+        """The file's rule, uncertified until `certify` runs: its flag and residual are not read."""
         for name in ("m", "n", "degree", "K"):
             if type(data[name]) is not int:  # also rejects a bool, which is an int to Python
                 raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
@@ -141,8 +142,6 @@ class Quadrature:
             degree=data["degree"],
             nodes=decode_floats(data, "nodes"),
         )
-        q.certified = bool(data.get("certified", False))
-        q.max_abs_residual = float(data.get("max_abs_residual", math.nan))
         if q.K != data["K"]:
             raise ValueError(f"node count {q.K} does not match recorded K={data['K']}")
         return q

@@ -267,6 +267,14 @@ class TestBuild:
         design, _ = build(plan(2, 7), cache_obj=cache)
         assert cache.stored == [(2, 1, 3)] and design.degree == 7
 
+    @pytest.mark.parametrize("t", [70, 72, pytest.param(74, marks=pytest.mark.xfail(
+        strict=True, raises=BuildError,
+        reason="ROADMAP item 10: the alternating zonal sum lifts the root's pairwise residual past 1e-9"))])
+    def test_s2_certifies_at_high_degree(self, quad_cache, t):
+        design, report = build(plan(2, t), cache_obj=quad_cache)
+        assert report.passed and report.max_residual <= 1e-9
+        assert design.count == report.total_points and design.degree == t
+
     def test_failed_verification_names_node(self, quad_cache):
         with pytest.raises(BuildError) as err:
             build(plan(2, 3), design_tol=1e-22, cache_obj=quad_cache)

@@ -10,14 +10,17 @@ from designforge import (
     NoConvergenceError,
     Quadrature,
     SolverOptions,
+    base_s0,
+    base_s1,
     certify,
     jacobi_moment_ratio,
     power_moment,
+    product,
     solve_equal_weight,
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 import designforge.quadrature as quadrature_module
-from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt, _lm_step
+from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt, _lm_step, decode_floats, encode_floats
 from oracles import orthonormal_values_direct, same_bits
 
 mp.mp.dps = 40
@@ -428,7 +431,22 @@ class TestQuadratureType:
         data = q.to_json_dict()
         back = Quadrature.from_json_dict(data)
         assert np.array_equal(back.nodes, q.nodes)
+        assert back.certified is False  # the file's certificate is not read
+        certify(back, q.tolerance)
         assert back.to_json_dict() == data
+
+    def test_rule_read_from_json_is_uncertified(self):
+        # a forged file: one node moved by 1e-3, "certified": true left in place
+        data = solve_equal_weight(JacobiWeight(2, 1), 3)[0].to_json_dict()
+        nodes = decode_floats(data, "nodes")
+        nodes[0] += 1e-3
+        data.update(encode_floats("nodes", nodes))
+        assert data["certified"] is True
+        forged = Quadrature.from_json_dict(data)
+        assert forged.certified is False
+        with pytest.raises(ValueError, match="quadrature is not certified"):
+            product(base_s1(7), base_s0(7), forged)
+        assert certify(forged, 1e-12).max_abs_residual > 1e-12 and not forged.certified
 
     @pytest.mark.parametrize("field", ["m", "n", "degree", "K"])
     @pytest.mark.parametrize("value", [float("inf"), 2.0, True, "2"])
