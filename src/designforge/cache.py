@@ -8,11 +8,12 @@ tolerance magnitude reuse solves.  A bucket can hold a rule certified at a
 looser tolerance than the one asked for, so every hit is re-certified at the
 requested tolerance and served only if it passes; only certified rules are
 stored.  Disk writes are atomic (write a unique temp file, then rename) and
-idempotent: storing the same key twice leaves one file.  Corrupt entries are
-ignored with a warning and rebuilt.  No build size is stored: `bounds`
-certifies sizes from the cached rules (`construct.certify_plan`), and the
-builds/ directory and builds.json of earlier versions are neither read nor
-deleted.
+idempotent: storing the same key twice leaves one file.  Corrupt or
+unreadable entries are ignored with a warning and rebuilt; a rule that cannot
+be written raises `CacheWriteError`, which names the entry.  No build size is
+stored: `bounds` certifies sizes from the cached rules
+(`construct.certify_plan`), and the builds/ directory and builds.json of
+earlier versions are neither read nor deleted.
 """
 from __future__ import annotations
 
@@ -40,6 +41,10 @@ def atomic_write_text(path: Path, text: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+class CacheWriteError(Exception):
+    """A certified rule could not be stored; the message names the entry."""
 
 
 def dump_json(obj) -> str:
@@ -90,14 +95,23 @@ class QuadratureCache(InMemoryQuadratureCache):
 
     def _read(self, k: str) -> Quadrature | None:
         path = self.quad_dir / (k + ".json")
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            warnings.warn(f"ignoring unreadable cache entry {path}: {exc.strerror}")
             return None
         try:
-            return Quadrature.from_json_dict(json.loads(path.read_text()))
+            return Quadrature.from_json_dict(json.loads(data))
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"ignoring corrupt cache entry {path}: {exc}")
             return None
 
     def _write(self, k: str, q: Quadrature) -> None:
-        atomic_write_text(self.quad_dir / (k + ".json"), dump_json(q.to_json_dict()))
+        path = self.quad_dir / (k + ".json")
+        try:
+            atomic_write_text(path, dump_json(q.to_json_dict()))
+        except OSError as exc:
+            raise CacheWriteError(f"cannot write cache entry {path}: {exc.strerror}") from exc
 

@@ -6,7 +6,8 @@ for user-input errors: unreadable input files, output or cache paths that
 cannot be written, invalid build plans, out-of-range dimensions, degrees,
 tolerances or solver limits, and click's own usage errors (a value of the
 wrong type, an unknown option or command, a missing argument); paths are
-checked before any solve.
+checked before any solve, but a cache entry that cannot be written shows only
+when a solved rule is stored.
 Output files contain no timestamps or environment data, so identical
 commands with identical cache state produce byte-identical files.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cache import InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
+from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
 from .construct import (
     DESIGN_TOLERANCE,
     BuildError,
@@ -221,6 +222,8 @@ def quadrature(m, n, t, output, opts, cache_dir):
         click.echo(f"no convergence: {exc}", err=True)
         q = exc.best
         exit_code = 1
+    except CacheWriteError as exc:
+        raise InputError(str(exc))
     if output:
         atomic_write_text(output, dump_json(q.to_json_dict()))
     click.echo(
@@ -283,6 +286,8 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
     except (BuildError, NoConvergenceError) as exc:
         click.echo(f"build failed: {exc}", err=True)
         sys.exit(1)
+    except CacheWriteError as exc:
+        raise InputError(str(exc))
     if output:
         if fmt == "csv":
             atomic_write_text(output, _design_csv(design))

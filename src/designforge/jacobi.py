@@ -110,27 +110,18 @@ def gauss_rule(w: JacobiWeight, num_nodes: int) -> tuple[np.ndarray, np.ndarray]
     """Gaussian nodes and weights for the weight w (Golub-Welsch), as read-only
     arrays shared by every caller.
 
-    The nodes are the eigenvalues of the symmetric tridiagonal matrix built
-    from the recurrence coefficients; the weights are the squared first
-    eigenvector components scaled by the total mass.  The rule integrates
-    polynomials up to degree 2*num_nodes - 1 exactly against w.
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    built from the recurrence coefficients; the weights are the squared first
+    eigenvector components scaled by the total mass.  The solver asks for at
+    most ceil((t+1)/2) nodes, so the matrix is small enough for numpy's dense
+    symmetric eigensolver, which reads its lower triangle only.  The rule
+    integrates polynomials up to degree 2*num_nodes - 1 exactly against w.
     """
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     diag, sqrt_b = _coefficients(w, num_nodes, np.float64)
-    if num_nodes == 1:
-        nodes, weights = diag.copy(), np.array([w.mass])
-    else:
-        try:
-            from scipy.linalg import eigh_tridiagonal
-
-            nodes, vectors = eigh_tridiagonal(diag, sqrt_b[1:])
-        except Exception as exc:  # pragma: no cover - eigensolver failure is exotic
-            raise RuntimeError(
-                f"tridiagonal eigensolver failed for weight (m={w.m}, n={w.n}) "
-                f"with {num_nodes} nodes"
-            ) from exc
-        weights = w.mass * vectors[0, :] ** 2
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(sqrt_b[1:], -1))
+    weights = w.mass * vectors[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

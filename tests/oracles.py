@@ -16,6 +16,10 @@
   `tobytes()` will not do for long doubles: on x86-64 each 80-bit value is
   stored in 16 bytes, and the 6 padding bytes are not initialised, so two
   equal arrays can print different bytes.
+* `sin_cos_integral` is the integral of sin^a cos^b from 0 by the classical
+  reduction formulas, in mpmath.  With u = sin^2 it is an unnormalized
+  incomplete Beta function of half-integer parameters, so it checks the
+  quantile start, which integrates by Gauss-Legendre instead.
 * `mc_moment_oracle` is deliberately dumb (normalized Gaussian sampling) and
   exists to cross-check the closed-form moments, not to certify designs.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from designforge import MultiIndex, VerificationReport, iter_multi_indices, sphere_monomial_moment
@@ -142,6 +147,22 @@ def orthonormal_values_direct(w, max_degree, x, dtype=np.float64, with_derivativ
     if with_derivative:
         return p, dp
     return p
+
+
+def sin_cos_integral(a: int, b: int, s, c):
+    """The integral of sin^a cos^b over [0, phi], where sin(phi) = s and cos(phi) = c
+    are mpmath numbers, in the working precision.
+
+    The base cases a, b in {0, 1} are phi, sin, 1 - cos and sin^2 / 2; each
+    step raises a power by 2: (k + b) J(k, b) = (k - 1) J(k - 2, b) - s^(k-1) c^(b+1),
+    then (a + k) J(a, k) = (k - 1) J(a, k - 2) + s^(a+1) c^(k-1).
+    """
+    J = [[mp.asin(s), s], [1 - c, s * s / 2]][a % 2][b % 2]
+    for k in range(a % 2 + 2, a + 1, 2):
+        J = ((k - 1) * J - s ** (k - 1) * c ** (b % 2 + 1)) / (k + b % 2)
+    for k in range(b % 2 + 2, b + 1, 2):
+        J = ((k - 1) * J + s ** (a + 1) * c ** (k - 1)) / (a + k)
+    return J
 
 
 def mc_moment_oracle(

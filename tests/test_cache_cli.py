@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import stat
 import sys
 import threading
@@ -27,7 +28,7 @@ from designforge import (
     plan,
     solve_equal_weight,
 )
-from designforge.cache import QuadratureCache, atomic_write_text, dump_json, key
+from designforge.cache import CacheWriteError, QuadratureCache, atomic_write_text, dump_json, key
 from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_rows, _load_design, main
 from designforge.quadrature import encode_floats
 
@@ -83,6 +84,18 @@ class TestQuadratureCache:
         path.write_text("{ not json")
         with pytest.warns(UserWarning, match="corrupt"):
             assert cache.lookup(2, 2, 2, 1e-12) is None
+
+    def test_unreadable_entry_ignored_with_warning_and_never_written_over(self, tmp_path):
+        # a directory at the entry path fails the read and the write even as root, where chmod would not
+        cache = QuadratureCache(tmp_path)
+        path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
+        path.mkdir()
+        with pytest.warns(UserWarning, match="unreadable cache entry"):
+            assert cache.lookup(2, 2, 2, 1e-12) is None
+        q, _ = solve_equal_weight(JacobiWeight(2, 2), 2)
+        with pytest.raises(CacheWriteError, match=f"cannot write cache entry {re.escape(str(path))}: Is a directory"):
+            cache.store(q)
+        assert list(cache.quad_dir.iterdir()) == [path]  # no temp file left behind
 
     def test_uncertified_never_served(self, tmp_path):
         cache = QuadratureCache(tmp_path)
@@ -261,6 +274,37 @@ class TestBoundsCommand:
         assert result.exit_code == 0, result.output
         assert json.loads(path.read_text())[field] == good
         assert [row["achieved"] for row in json.loads(runner.invoke(main, bounds).output)["rows"]] == [4, 6, 8, 20, 24]
+
+
+class TestUnreadableCacheEntry:
+    """A directory where the (2, 1) degree-5 rule's file belongs."""
+
+    @staticmethod
+    def entry(cache_dir):
+        return cache_dir / "quadratures" / (key(2, 1, 5, 1e-12) + ".json")
+
+    @pytest.mark.parametrize("args", [["build", "2", "10"], ["quadrature", "2", "1", "5"]], ids=["build", "quadrature"])
+    def test_solving_commands_exit_2_naming_the_entry(self, runner, tmp_path, args):
+        self.entry(tmp_path).mkdir(parents=True)
+        with pytest.warns(UserWarning, match="unreadable cache entry"):
+            result = runner.invoke(main, [*args, "--cache-dir", str(tmp_path)])
+        assert_input_error(result, f"cannot write cache entry {self.entry(tmp_path)}: Is a directory")
+        assert self.entry(tmp_path).is_dir()
+
+    def test_bounds_hides_only_the_rows_that_need_it(self, runner, tmp_path):
+        for t in ("4", "10"):
+            assert runner.invoke(main, ["build", "2", t, "--cache-dir", str(tmp_path)]).exit_code == 0
+        bounds = ["bounds", "2", "11", "--format", "json", "--cache-dir", str(tmp_path)]
+        before = [row["achieved"] for row in json.loads(runner.invoke(main, bounds).output)["rows"]]
+        self.entry(tmp_path).unlink()
+        self.entry(tmp_path).mkdir()
+        with pytest.warns(UserWarning, match="unreadable cache entry"):
+            result = runner.invoke(main, bounds)
+        assert result.exit_code == 0, result.output
+        # S^2 of degree t joins with the (2, 1) rule of degree t // 2
+        assert None not in (before[3], before[4], before[9], before[10])
+        expected = [None if t // 2 == 5 else size for t, size in enumerate(before, start=1)]
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == expected
 
 
 class TestQuadratureCommand:

@@ -1,4 +1,9 @@
 """The package's public surface."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import designforge
 
 
@@ -9,3 +14,21 @@ def test_star_import_matches_all():
     for name in designforge.__all__:
         assert hasattr(designforge, name), name
         assert name in namespace, name
+
+
+def test_runtime_imports_no_scipy():
+    # a fresh process, since this session imports scipy for its oracles: a
+    # cold default build, then (4, 2) at degree 10, which certifies only from
+    # the quantile start, at K=48 (test_quantile_start_certifies_where_gauss_fails)
+    code = (
+        "import sys\n"
+        "from designforge import JacobiWeight, build, plan, solve_equal_weight\n"
+        "assert build(plan(4, 6))[1].passed\n"
+        "q, _ = solve_equal_weight(JacobiWeight(4, 2), 10)\n"
+        "assert q.certified and q.K == 48, q.K\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(designforge.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

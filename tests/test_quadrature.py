@@ -21,7 +21,7 @@ from designforge import (
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 import designforge.quadrature as quadrature_module
 from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt, _lm_step, decode_floats, encode_floats
-from oracles import orthonormal_values_direct, same_bits
+from oracles import orthonormal_values_direct, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
 
@@ -59,6 +59,61 @@ class TestGaussJacobiInit:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             gauss_rule(JacobiWeight(2, 2), 0)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_scipy_tridiagonal_eigensolver(self, m, n):
+        # scipy is a test-only oracle: Golub-Welsch on the same matrix, by a tridiagonal solver
+        from scipy.linalg import eigh_tridiagonal
+
+        w = JacobiWeight(m, n)
+        for count in (1, 2, 3, 5, 10, 25, 60):
+            nodes, weights = gauss_rule(w, count)
+            diag, sqrt_b = _coefficients(w, count, np.float64)
+            ref_nodes, vectors = eigh_tridiagonal(diag, sqrt_b[1:])
+            ref_weights = w.mass * vectors[0] ** 2
+            # a symmetric eigensolver's error scales with the matrix norm, here <= 1
+            assert np.max(np.abs(nodes - ref_nodes)) <= 2 * np.spacing(1.0), count
+            assert np.all(np.abs(weights - ref_weights) <= 2 * np.spacing(ref_weights)), count
+
+
+class TestQuantileStart:
+    """`_init_quantile` against the exact quantiles of the weight."""
+
+    def test_oracle_is_the_regularized_incomplete_beta(self):
+        # with u = sin^2(phi), the integral over its full value is I_u(n/2, m/2)
+        for m, n in [(1, 1), (3, 8), (8, 2), (5, 5)]:
+            total = sin_cos_integral(n - 1, m - 1, mp.mpf(1), mp.mpf(0))
+            for u in map(mp.mpf, ("0.01", "0.3", "0.77", "0.999")):
+                ratio = sin_cos_integral(n - 1, m - 1, mp.sqrt(u), mp.sqrt(1 - u)) / total
+                exact = mp.betainc(mp.mpf(n) / 2, mp.mpf(m) / 2, 0, u, regularized=True)
+                assert abs(ratio - exact) < mp.mpf(10) ** -35
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_40_digit_inversion(self, m, n):
+        # each t = cos(theta) against its exact quantile, by one 40-digit Newton step
+        # from t: F = J(a, b)/Z in phi, with u = (1+t)/2 = sin^2(phi), so
+        # dt/dF = 4 Z / (sin^(a-1) cos^(b-1)); the step's own error is O(step^2)
+        a, b = n - 1, m - 1
+        total = sin_cos_integral(a, b, mp.mpf(1), mp.mpf(0))
+        for K in (1, 2, 5, 48, 345):
+            theta = _init_quantile(JacobiWeight(m, n), K)
+            assert np.all(np.diff(theta) > 0)
+            for k, t in enumerate(np.cos(theta[::-1]).tolist()):
+                u = (1 + mp.mpf(t)) / 2
+                s, c = mp.sqrt(u), mp.sqrt(1 - u)
+                excess = sin_cos_integral(a, b, s, c) / total - mp.mpf(2 * k + 1) / (2 * K)
+                assert abs(4 * total * excess / (s ** (a - 1) * c ** (b - 1))) <= 1e-14, (K, k)
+
+    @pytest.mark.parametrize("m,n", [(16, 3), (50, 50), (3, 100), (200, 200)])
+    def test_narrow_weights_match_scipy(self, m, n):
+        # the integrand's bump narrows as m + n grows; scipy is a test-only oracle
+        from scipy.special import betaincinv
+
+        theta = _init_quantile(JacobiWeight(m, n), 512)
+        reference = 2 * betaincinv(n / 2, m / 2, (np.arange(512) + 0.5) / 512) - 1
+        assert np.max(np.abs(np.cos(theta[::-1]) - reference)) <= 1e-14
 
 
 class TestOrthonormalPolynomials:
