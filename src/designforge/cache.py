@@ -21,7 +21,6 @@ import contextlib
 import json
 import math
 import os
-import secrets
 import warnings
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .quadrature import Quadrature, certify
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via a temp file unique to this writer, so concurrent writers never
     share one; it is created as open() creates a file, so the current umask applies."""
-    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:

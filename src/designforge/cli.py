@@ -4,10 +4,11 @@ Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge, 2 with a one-line message
 for user-input errors: unreadable input files, output or cache paths that
 cannot be written, invalid build plans, out-of-range dimensions, degrees,
-tolerances or solver limits, and click's own usage errors (a value of the
-wrong type, an unknown option or command, a missing argument); paths are
-checked before any solve, but a cache entry that cannot be written shows only
-when a solved rule is stored.
+tolerances or solver limits, a weight whose mass overflows a double, a
+design too large to hold in memory, and click's own usage errors (a value
+of the wrong type, an unknown option or command, a missing argument); paths
+are checked before any solve, but a cache entry that cannot be written shows
+only when a solved rule is stored.
 Output files contain no timestamps or environment data, so identical
 commands with identical cache state produce byte-identical files.
 """
@@ -35,7 +36,7 @@ from .construct import (
     plan,
     solve_cached,
 )
-from .quadrature import NoConvergenceError, SolverOptions
+from .quadrature import NoConvergenceError, SolverOptions, float_text
 from .verify import verify_design
 
 class InputError(click.ClickException):
@@ -222,7 +223,7 @@ def quadrature(m, n, t, output, opts, cache_dir):
         click.echo(f"no convergence: {exc}", err=True)
         q = exc.best
         exit_code = 1
-    except CacheWriteError as exc:
+    except (CacheWriteError, OverflowError) as exc:
         raise InputError(str(exc))
     if output:
         atomic_write_text(output, dump_json(q.to_json_dict()))
@@ -234,15 +235,11 @@ def quadrature(m, n, t, output, opts, cache_dir):
 
 
 def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
-    """Each row of `points` as float64: open_row, its cells joined by `between`,
-    close_row; rows joined by row_sep.  A cell is the text of "{:.17g}".format
-    or, if exact, of float.hex.  Each distinct float64 bit pattern is formatted
-    once (so -0.0 and 0.0 stay apart), and one `%` fills every cell."""
+    """Each row of `points`: open_row, its `float_text` cells joined by
+    `between`, close_row; rows joined by row_sep.  One `%` fills every cell."""
     count, dim = points.shape
-    bits, cells = np.unique(points.astype(np.float64).view(np.uint64).ravel(), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    text = np.array(list(map(float.hex, distinct)) if exact else ["%.17g" % v for v in distinct], dtype=object)
-    return row_sep.join([open_row + between.join(["%s"] * dim) + close_row] * count) % tuple(text[cells].tolist())
+    cells = float_text(points, exact).ravel().tolist()
+    return row_sep.join([open_row + between.join(["%s"] * dim) + close_row] * count) % tuple(cells)
 
 
 # a row of a JSON design's "points" or "points_hex", as json.dumps(indent=2) lays it out
@@ -286,7 +283,7 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
     except (BuildError, NoConvergenceError) as exc:
         click.echo(f"build failed: {exc}", err=True)
         sys.exit(1)
-    except CacheWriteError as exc:
+    except (CacheWriteError, OverflowError, MemoryError) as exc:
         raise InputError(str(exc))
     if output:
         if fmt == "csv":

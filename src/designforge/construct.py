@@ -218,16 +218,6 @@ class BuildPlan:
     degree: int
     root: PlanNode
 
-    def describe(self) -> str:
-        def walk(node: PlanNode) -> str:
-            if node.kind == "s0":
-                return "S0"
-            if node.kind == "s1":
-                return "S1"
-            return f"(S{node.ambient_dim - 1} = {walk(node.left)} x {walk(node.right)})"
-
-        return walk(self.root)
-
 
 def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) -> BuildPlan:
     """Build plan for a t-design on S^n.
@@ -414,13 +404,17 @@ def build(
     certified leaves and rules; no design below the root outlives the build.
     Raises BuildError naming the offending node if any certificate exceeds
     design_tol, and propagates NoConvergenceError from the quadrature solver.
+    Raises MemoryError naming the point count if the points cannot be held.
     """
     solver_opts = solver_opts or SolverOptions()
     cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
     report, form = certify_plan(
         bp, lambda m, n, degree: solve_cached(m, n, degree, solver_opts, cache_obj), design_tol, phase
     )
-    return form(), report
+    try:
+        return form(), report
+    except MemoryError:
+        raise MemoryError(f"the {report.total_points} points of S^{bp.sphere_dim} degree {bp.degree} do not fit in memory") from None
 
 
 def _max_residual(node: BuildNodeReport) -> float:

@@ -68,15 +68,15 @@ class JacobiWeight:
 
     @property
     def mass(self) -> float:
-        """Total integral of the weight over [-1, 1].
-
-        Equals 2^((m+n-2)/2) * B(m/2, n/2); not rational in general because
-        of pi factors, so this one is a float.
-        """
-        log_beta = (
-            math.lgamma(self.m / 2) + math.lgamma(self.n / 2) - math.lgamma((self.m + self.n) / 2)
-        )
-        return 2.0 ** ((self.m + self.n - 2) / 2) * math.exp(log_beta)
+        """Total integral of the weight over [-1, 1], 2^((m+n-2)/2) * B(m/2, n/2),
+        formed in logs; a float, as pi factors make it irrational in general.
+        Raises OverflowError when it does not fit in a float64."""
+        m, n = self.m, self.n
+        try:
+            log_beta = math.lgamma(m / 2) + math.lgamma(n / 2) - math.lgamma((m + n) / 2)
+            return math.exp((m + n - 2) / 2 * math.log(2) + log_beta)
+        except OverflowError:
+            raise OverflowError(f"the mass of the (m={m}, n={n}) weight does not fit in a float64") from None
 
 
 def _rising(x: Fraction, k: int) -> Fraction:

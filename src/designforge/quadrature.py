@@ -62,11 +62,20 @@ def _each(fn, values: list) -> list:
     return list(map(fn, values))
 
 
+def float_text(values, exact: bool = False) -> np.ndarray:
+    """`values` as float64, each cell "%.17g" text (round-trips a double) or, if
+    exact, float.hex text, in an object array of their shape.  Each distinct
+    bit pattern is formatted once, so -0.0 and 0.0 stay apart."""
+    floats = np.asarray(values).astype(np.float64)
+    bits, cells = np.unique(floats.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    text = np.array(list(map(float.hex, distinct)) if exact else ["%.17g" % v for v in distinct], dtype=object)
+    return text[cells].reshape(floats.shape)
+
+
 def encode_floats(field: str, values) -> dict:
-    """`values` as float64 in 17g text under `field` (round-trips a double) and
-    in hex under field + "_hex"; both lists nest like the array."""
-    floats = np.asarray(values).astype(np.float64).tolist()
-    return {field: _each("{:.17g}".format, floats), field + "_hex": _each(float.hex, floats)}
+    """`values` in 17g text under `field` and in hex under field + "_hex"; both lists nest like the array."""
+    return {field: float_text(values).tolist(), field + "_hex": float_text(values, exact=True).tolist()}
 
 
 def decode_floats(data: dict, field: str) -> np.ndarray:

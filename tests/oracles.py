@@ -20,6 +20,9 @@
   reduction formulas, in mpmath.  With u = sin^2 it is an unnormalized
   incomplete Beta function of half-integer parameters, so it checks the
   quantile start, which integrates by Gauss-Legendre instead.
+* `per_value_text` formats every value on its own, by "{:.17g}".format or
+  float.hex.  `quadrature.float_text` formats each distinct bit pattern once
+  and must give the same text.
 * `mc_moment_oracle` is deliberately dumb (normalized Gaussian sampling) and
   exists to cross-check the closed-form moments, not to certify designs.
 """
@@ -163,6 +166,16 @@ def sin_cos_integral(a: int, b: int, s, c):
     for k in range(b % 2 + 2, b + 1, 2):
         J = ((k - 1) * J + s ** (a + 1) * c ** (k - 1)) / (a + k)
     return J
+
+
+def per_value_text(values, exact: bool = False):
+    """Each value as float64 in 17g text, or in hex if exact, nested like the array."""
+    fmt = float.hex if exact else "{:.17g}".format
+
+    def each(v):
+        return [each(x) for x in v] if isinstance(v, list) else fmt(v)
+
+    return each(np.asarray(values).astype(np.float64).tolist())
 
 
 def mc_moment_oracle(

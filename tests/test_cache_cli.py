@@ -31,6 +31,7 @@ from designforge import (
 from designforge.cache import CacheWriteError, QuadratureCache, atomic_write_text, dump_json, key
 from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_rows, _load_design, main
 from designforge.quadrature import encode_floats
+from oracles import per_value_text
 
 
 @pytest.fixture
@@ -351,6 +352,19 @@ class TestQuadratureCommand:
     def test_factor_dim_zero_exits_2(self, runner):
         assert_input_error(runner.invoke(main, ["quadrature", "0", "2", "3"]), "M must be >= 1")
 
+    @pytest.mark.parametrize("m,n", [(1100, 1100), (3000, 3000)])
+    def test_weight_whose_mass_factors_overflow_solves(self, runner, m, n):
+        # 2^((m+n-2)/2) alone overflows a float64; the mass itself does not
+        result = runner.invoke(main, ["quadrature", str(m), str(n), "2"])
+        assert result.exit_code == 0, result.output
+        assert "K=2" in result.output and "certified=True" in result.output
+
+    def test_weight_whose_mass_overflows_exits_2(self, runner):
+        assert_input_error(
+            runner.invoke(main, ["quadrature", "3000", "5", "4"]),
+            "the mass of the (m=3000, n=5) weight does not fit in a float64",
+        )
+
 
 @pytest.mark.parametrize(
     "args,message",
@@ -370,6 +384,24 @@ def test_bad_solver_or_tolerance_option_exits_2(runner, args, message):
 
 
 class TestBuildCommand:
+    def test_design_too_large_to_hold_exits_2(self, runner, monkeypatch):
+        def product(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("designforge.construct.product", product)
+        assert_input_error(
+            runner.invoke(main, ["build", "2", "4"]), "the 20 points of S^2 degree 4 do not fit in memory"
+        )
+
+    def test_weight_whose_mass_overflows_exits_2(self, runner, tmp_path):
+        # the root's rule is asked for first, so no lower node is built
+        plan_file = tmp_path / "p.json"
+        plan_file.write_text('{"3005": [3000, 5]}')
+        assert_input_error(
+            runner.invoke(main, ["build", "3004", "2", "--plan", str(plan_file)]),
+            "the mass of the (m=3000, n=5) weight does not fit in a float64",
+        )
+
     def test_worked_example_files(self, runner, tmp_path):
         design_file = tmp_path / "d.json"
         report_file = tmp_path / "r.json"
@@ -568,8 +600,8 @@ def test_unknown_option_is_named_as_click_names_it(runner, args):
 
 
 def per_value_rows(points, open_row, between, close_row, row_sep, exact=False):
-    """What `_format_rows` writes, from the per-value writer's 17g or hex cells."""
-    rows = encode_floats("points", points)["points_hex" if exact else "points"]
+    """What `_format_rows` writes, from `per_value_text`'s 17g or hex cells."""
+    rows = per_value_text(points, exact)
     return row_sep.join(open_row + between.join(row) + close_row for row in rows)
 
 
@@ -617,6 +649,12 @@ class TestDesignWriters:
         for layout in (_JSON_ROW, ("", ",", "", "\n")):
             for exact in (False, True):
                 assert _format_rows(table, *layout, exact=exact) == per_value_rows(table, *layout, exact=exact)
+
+    @given(repetitive_tables())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_encode_floats_is_per_value_text(self, table):
+        for values in (table, table[0], table.astype(np.longdouble)):
+            assert encode_floats("x", values) == {"x": per_value_text(values), "x_hex": per_value_text(values, exact=True)}
 
     def test_json_is_dump_json_text(self, design):
         assert _design_json(design) == dump_json(design.to_json_dict())

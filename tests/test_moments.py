@@ -235,6 +235,17 @@ class TestNormalizationIdentity:
         )
         assert abs(w.mass / float(ref) - 1) < 1e-13
 
+    @pytest.mark.parametrize("m,n", [(1100, 1100), (3000, 3000), (2000, 40)])
+    def test_mass_in_logs_matches_mpmath(self, m, n):
+        # from m + n = 2200 on, 2^((m+n-2)/2) alone overflows a float64; the
+        # exponent's terms are near (m+n) ln 2, so its rounding costs about (m+n) ulp
+        ref = mp.mpf(2) ** (mp.mpf(m + n - 2) / 2) * mp.beta(mp.mpf(m) / 2, mp.mpf(n) / 2)
+        assert abs(JacobiWeight(m, n).mass / ref - 1) < (m + n) * 1e-15
+
+    def test_mass_beyond_float64_raises(self):
+        with pytest.raises(OverflowError, match=r"the mass of the \(m=3000, n=5\) weight does not fit in a float64"):
+            JacobiWeight(3000, 5).mass
+
 
 class TestWeightValidation:
     def test_rejects_nonpositive_dimensions(self):

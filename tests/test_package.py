@@ -32,3 +32,22 @@ def test_runtime_imports_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_cold_build_loads_no_openssl(tmp_path):
+    # a fresh process: the atomic writer's temp names come from os.urandom, so
+    # writing a design loads neither `secrets` nor, through hmac, OpenSSL
+    code = (
+        "import sys\n"
+        "from designforge.cli import main\n"
+        "try:\n"
+        "    main(['build', '4', '6', '-o', sys.argv[1]])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(name for name in ('_hashlib', 'hmac', 'secrets') if name in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(designforge.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.json")], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("[]\n")
+    assert (tmp_path / "d.json").is_file()
