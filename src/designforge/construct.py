@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cache
@@ -404,8 +405,12 @@ def build(
     certified leaves and rules; no design below the root outlives the build.
     Raises BuildError naming the offending node if any certificate exceeds
     design_tol, and propagates NoConvergenceError from the quadrature solver.
-    Raises MemoryError naming the point count if the points cannot be held.
+    Raises MemoryError naming the point count if the points cannot be held,
+    and before any rule is solved if the plan's leaves alone rule them out.
     """
+    fewest = _leaf_points(bp.root, bp.degree)
+    if fewest * bp.root.ambient_dim * np.dtype(np.longdouble).itemsize > sys.maxsize:
+        raise MemoryError(f"S^{bp.sphere_dim} degree {bp.degree} needs at least {fewest} points, which do not fit in memory")
     solver_opts = solver_opts or SolverOptions()
     cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
     report, form = certify_plan(
@@ -415,6 +420,14 @@ def build(
         return form(), report
     except MemoryError:
         raise MemoryError(f"the {report.total_points} points of S^{bp.sphere_dim} degree {bp.degree} do not fit in memory") from None
+
+
+def _leaf_points(node: PlanNode, t: int) -> int:
+    """The product of the leaf sizes under `node`: a lower bound on its point
+    count, since every rule has K >= 1."""
+    if node.kind == "product":
+        return _leaf_points(node.left, t) * _leaf_points(node.right, t)
+    return 2 if node.kind == "s0" else t + 1  # base_s0 and base_s1's point counts
 
 
 def _max_residual(node: BuildNodeReport) -> float:

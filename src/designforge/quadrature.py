@@ -12,7 +12,7 @@ polynomial p up to some degree t.  No closed-form construction is known, so
   2. start from the Gaussian rule (Golub-Welsch, `jacobi.gauss_rule`), each
      node repeated in proportion to its weight (largest-remainder rounding),
      copies fanned out by SPREAD; if that fails, start from the (k - 1/2)/K
-     quantiles of the weight, a Newton root-find on its integral
+     quantiles of the weight, read off a cumulative table of its density
      (`_init_quantile`).  Both are numpy only.  No other start certified in
      a survey of 866 solves, so nothing is random;
   3. run Levenberg-Marquardt on the residuals of the orthonormal-polynomial
@@ -52,6 +52,8 @@ STALL_WINDOW = 30
 MAX_ITERATIONS = 300
 # Fan-out of the Gaussian start's repeated nodes, in units of pi/K radians.
 SPREAD = 0.05
+# Equal cells of [0, pi/2] in the quantile start's table of the weight.
+QUANTILE_CELLS = 2048
 
 
 def _each(fn, values: list) -> list:
@@ -235,58 +237,24 @@ def _init_gauss_multiplicity(w: JacobiWeight, degree: int, K: int) -> np.ndarray
     return np.clip(np.array(thetas), 1e-6, math.pi - 1e-6)
 
 
-def _sin_cos_quantiles(sin_pow: int, cos_pow: int, q: np.ndarray) -> np.ndarray:
-    """The angles x in [0, pi/2] where the integral of sin^sin_pow cos^cos_pow
-    over [0, x], over its integral on [0, pi/2], reaches each q <= 1/2.
-
-    Each integral is one Gauss-Legendre rule on [0, x]; the integrand is
-    smooth, but its bump narrows like 1/sqrt(sin_pow + cos_pow), and the node
-    count grows to match.  Newton's method runs inside a bisection bracket
-    whose left end x0 = ((sin_pow + 1) Z q)^(1/(sin_pow + 1)), Z the full
-    integral, is the root of the larger integral with cos^cos_pow taken as 1,
-    so it never lies above the root.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(20 + 6 * math.isqrt(sin_pow + cos_pow + 2))
-    nodes, weights = (nodes + 1) / 2, weights / 2  # on [0, 1]
-
-    def density(x):
-        return np.sin(x) ** sin_pow * np.cos(x) ** cos_pow
-
-    def integral(x):
-        return density(np.multiply.outer(x, nodes)) @ weights * x
-
-    total = integral(math.pi / 2)
-    x = lo = ((sin_pow + 1) * total * q) ** (1 / (sin_pow + 1))
-    hi = np.full_like(q, math.pi / 2)
-    for _ in range(100):
-        excess = integral(x) / total - q
-        lo, hi = np.where(excess < 0, x, lo), np.where(excess < 0, hi, x)
-        with np.errstate(divide="ignore"):  # an underflowed density gives a step the bracket rejects
-            newton = x - excess * total / density(x)
-        step = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2) - x
-        x = x + step
-        if np.all(np.abs(step) <= 1e-15):
-            break
-    return x
-
-
 def _init_quantile(w: JacobiWeight, K: int) -> np.ndarray:
-    """Initial angles at the (k - 1/2)/K quantiles of the normalized weight.
+    """Initial angles, ascending, at the (k - 1/2)/K quantiles of the normalized weight.
 
     In u = (1+t)/2 the weight is the Beta(n/2, m/2) density.  With
     u = sin^2(phi), so that theta = pi - 2 phi, its density in phi is
-    proportional to sin^(n-1) cos^(m-1) on [0, pi/2].  A quantile p <= 1/2
-    is found in phi; one above is found from the other end, in
-    psi = pi/2 - phi = theta/2 with the powers swapped, at 1 - p, which is
-    itself one of the p's.  So each tail keeps its relative accuracy.
+    proportional to sin^(n-1) cos^(m-1) on [0, pi/2].  That density is
+    tabulated at the midpoints of QUANTILE_CELLS equal cells, in logs so that
+    a narrow weight does not underflow, and summed into a cumulative table at
+    the cell edges; each level is read off that table by linear
+    interpolation.  A level lies within about 1e-6 of its exact value for
+    weights up to (8, 8): enough for a start, which LM refines.
     """
-    probs = (np.arange(K) + 0.5) / K
-    lower = probs[probs <= 0.5]
-    upper = probs[: K - lower.size]  # 1 - p for each p above 1/2
-    return np.concatenate([
-        2 * _sin_cos_quantiles(w.m - 1, w.n - 1, upper),
-        math.pi - 2 * _sin_cos_quantiles(w.n - 1, w.m - 1, lower)[::-1],
-    ])
+    width = math.pi / 2 / QUANTILE_CELLS
+    phi = (np.arange(QUANTILE_CELLS) + 0.5) * width
+    log_density = (w.n - 1) * np.log(np.sin(phi)) + (w.m - 1) * np.log(np.cos(phi))
+    cdf = np.concatenate([[0.0], np.cumsum(np.exp(log_density - log_density.max()))])
+    levels = (np.arange(K) + 0.5) / K * cdf[-1]
+    return math.pi - 2 * np.interp(levels, cdf, np.arange(QUANTILE_CELLS + 1) * width)[::-1]
 
 
 def _lm_step(jac: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
@@ -429,7 +397,7 @@ def solve_equal_weight(
     total_iterations = 0
     best: tuple[Quadrature, QuadratureReport] | None = None
     while True:
-        # each start is made only when reached: the quantile one costs a root-find
+        # each start is made only when reached, so a rung the Gauss start certifies tabulates no weight
         for start in (lambda: _init_gauss_multiplicity(w, t, K), lambda: _init_quantile(w, K)):
             theta, _, iters = _levenberg_marquardt(start(), w, t, opts.tolerance)
             total_iterations += iters

@@ -19,7 +19,7 @@
 * `sin_cos_integral` is the integral of sin^a cos^b from 0 by the classical
   reduction formulas, in mpmath.  With u = sin^2 it is an unnormalized
   incomplete Beta function of half-integer parameters, so it checks the
-  quantile start, which integrates by Gauss-Legendre instead.
+  quantile start, which reads its levels off a table of the weight instead.
 * `per_value_text` formats every value on its own, by "{:.17g}".format or
   float.hex.  `quadrature.float_text` formats each distinct bit pattern once
   and must give the same text.

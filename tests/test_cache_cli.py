@@ -393,13 +393,21 @@ class TestBuildCommand:
             runner.invoke(main, ["build", "2", "4"]), "the 20 points of S^2 degree 4 do not fit in memory"
         )
 
+    def test_design_beyond_any_address_space_exits_2_without_certifying(self, runner, monkeypatch):
+        def certify_plan(*args, **kwargs):
+            raise AssertionError("certify_plan was called")
+
+        monkeypatch.setattr("designforge.construct.certify_plan", certify_plan)
+        assert_input_error(runner.invoke(main, ["build", "200", "2"]), "needs at least 2435013403100201220879672449168160867466000113598464 points")
+
     def test_weight_whose_mass_overflows_exits_2(self, runner, tmp_path):
-        # the root's rule is asked for first, so no lower node is built
+        # a plan that reaches such a weight has over a thousand leaves, so it is
+        # refused by its leaf sizes before any rule is solved
         plan_file = tmp_path / "p.json"
         plan_file.write_text('{"3005": [3000, 5]}')
         assert_input_error(
             runner.invoke(main, ["build", "3004", "2", "--plan", str(plan_file)]),
-            "the mass of the (m=3000, n=5) weight does not fit in a float64",
+            "S^3004 degree 2 needs at least",
         )
 
     def test_worked_example_files(self, runner, tmp_path):

@@ -275,6 +275,15 @@ class TestBuild:
         assert report.passed and report.max_residual <= 1e-9
         assert design.count == report.total_points and design.degree == t
 
+    def test_design_beyond_any_address_space_is_refused_before_certifying(self, monkeypatch):
+        # S^200 t=2: every rule has K = 1, so the leaves' 2.4e51 points are the count
+        def certify_plan(*args, **kwargs):
+            raise AssertionError("certify_plan was called")
+
+        monkeypatch.setattr("designforge.construct.certify_plan", certify_plan)
+        with pytest.raises(MemoryError, match=r"^S\^200 degree 2 needs at least 2435013403100201220879672449168160867466000113598464 points"):
+            build(plan(200, 2))
+
     def test_failed_verification_names_node(self, quad_cache):
         with pytest.raises(BuildError) as err:
             build(plan(2, 3), design_tol=1e-22, cache_obj=quad_cache)

@@ -19,7 +19,8 @@ def test_star_import_matches_all():
 def test_runtime_imports_no_scipy():
     # a fresh process, since this session imports scipy for its oracles: a
     # cold default build, then (4, 2) at degree 10, which certifies only from
-    # the quantile start, at K=48 (test_quantile_start_certifies_where_gauss_fails)
+    # the quantile start, at K=48 (test_quantile_start_certifies_where_gauss_fails);
+    # that start reads a table, so it needs no numpy.polynomial either
     code = (
         "import sys\n"
         "from designforge import JacobiWeight, build, plan, solve_equal_weight\n"
@@ -27,11 +28,12 @@ def test_runtime_imports_no_scipy():
         "q, _ = solve_equal_weight(JacobiWeight(4, 2), 10)\n"
         "assert q.certified and q.K == 48, q.K\n"
         "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(designforge.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\nFalse\n"
 
 
 def test_cold_build_loads_no_openssl(tmp_path):
