@@ -1,14 +1,20 @@
 """Command-line surface: bounds tables, quadrature solves, builds, verification.
 
 Exit codes: 0 when every requested certification passed, 1 when a
-certification failed or a solve did not converge, 2 with a one-line message
-for user-input errors: unreadable input files, output or cache paths that
-cannot be written, invalid build plans, out-of-range dimensions, degrees,
-tolerances or solver limits, a weight whose mass overflows a double, a
-design too large to hold in memory, and click's own usage errors (a value
-of the wrong type, an unknown option or command, a missing argument); paths
-are checked before any solve, but a cache entry that cannot be written shows
-only when a solved rule is stored.
+certification failed or a solve did not converge (a degree T whose
+ceil((T+1)/2) exceeds --max-k at once, as no rule has fewer nodes), 2 with a
+one-line message for user-input errors: unreadable input files, output or
+cache paths that cannot be written, invalid build plans, out-of-range
+dimensions, degrees, tolerances or solver limits, a `bounds` table whose
+t^a_n has more digits than Python prints, and click's own usage errors (a
+value of the wrong type, an unknown option or command, a missing argument).
+One list, in the command group, maps the library's input errors to exit 2
+for every command: CacheWriteError (a cache entry that cannot be written),
+OverflowError (a weight whose mass overflows a double) and MemoryError (a
+design too large to hold; a count too long to print reads "about 10^d").
+Paths are checked before any solve; a cache entry that cannot be written
+shows only when a solved rule is stored, and an output write that fails
+after the build (a full disk) exits 2 too.
 Output files contain no timestamps or environment data, so identical
 commands with identical cache state produce byte-identical files.
 """
@@ -18,6 +24,7 @@ import contextlib
 import functools
 import json
 import math
+import stat
 import sys
 from pathlib import Path
 
@@ -73,12 +80,26 @@ def _finite(ctx, param, value):
 def _writable(ctx, param, value):
     if value is None:
         return value
-    if not value.parent.is_dir():
-        raise InputError(f"{_name(param)} {value}: {value.parent} is not a directory")
-    # the write would replace a FIFO with a file, or fail on a directory (click reads "" as ".")
-    if value.exists() and not value.is_file():
-        raise InputError(f"{_name(param)} {value}: exists and is not a regular file")
+    try:
+        if not value.parent.is_dir():
+            raise InputError(f"{_name(param)} {value}: {value.parent} is not a directory")
+        # the write would replace a FIFO with a file, or fail on a directory (click reads "" as ".")
+        if not stat.S_ISREG(value.stat().st_mode):
+            raise InputError(f"{_name(param)} {value}: exists and is not a regular file")
+    except FileNotFoundError:
+        pass
+    except OSError as exc:  # a name too long, a loop of symbolic links
+        raise InputError(f"{_name(param)} {value}: {exc.strerror}")
     return value
+
+
+def _write(option: str, path: Path, text: str) -> None:
+    """Write an output file as `_writable` checked it; a write that fails anyway
+    (a full disk, a read-only file system) is reported as that check would."""
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise InputError(f"{option} {path}: {exc.strerror}")
 
 
 def _open_cache(cache_dir: Path | None) -> QuadratureCache | None:
@@ -121,16 +142,23 @@ _HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 
 @contextlib.contextmanager
 def _one_line_usage_errors():
+    """Click's usage errors, and the library errors that a command's arguments
+    alone can cause, as one InputError line: a cache entry that cannot be
+    written, a weight whose mass overflows a double, a design too large to hold."""
     try:
         yield
     except _HELP:
         raise
     except click.UsageError as exc:
         raise InputError(exc.format_message()) from None
+    except (CacheWriteError, OverflowError, MemoryError) as exc:
+        message = str(exc) or f"{type(exc).__name__}: the arguments ask for more than this machine holds"
+        raise InputError(message) from None
 
 
 class _Group(click.Group):
-    """Reports click's usage errors, its own and each subcommand's, as InputError."""
+    """Reports click's usage errors, its own and each subcommand's, and the
+    library's input errors as InputError (see `_one_line_usage_errors`)."""
 
     def make_context(self, *args, **kwargs):
         with _one_line_usage_errors():
@@ -192,6 +220,12 @@ def bounds(n, t_max, fmt, cache_dir):
             return None
 
     exponent = a_sequence(n)
+    # Python prints no int of more digits (0: no limit; Pythons before 3.10.7 have none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = math.floor(exponent * math.log10(t_max)) + 1 if t_max > 1 else 1
+    if limit and digits > limit:
+        raise InputError(f"S^{n} up to T_MAX {t_max}: t^a_n reaches {t_max}^{exponent}, "
+                         f"{digits} digits, over the {limit} that Python prints")
     rows = [{"t": t, "lower_bound": lower_bound(n, t), "t_pow_exponent": t**exponent, "achieved": achieved(t)}
             for t in range(1, t_max + 1)]
     if fmt == "json":
@@ -221,12 +255,11 @@ def quadrature(m, n, t, output, opts, cache_dir):
         q = solve_cached(m, n, t, opts, cache)
     except NoConvergenceError as exc:
         click.echo(f"no convergence: {exc}", err=True)
-        q = exc.best
-        exit_code = 1
-    except (CacheWriteError, OverflowError) as exc:
-        raise InputError(str(exc))
+        if exc.best is None:  # refused before any attempt: no best-effort rule to write
+            sys.exit(1)
+        q, exit_code = exc.best, 1
     if output:
-        atomic_write_text(output, dump_json(q.to_json_dict()))
+        _write("--output", output, dump_json(q.to_json_dict()))
     click.echo(
         f"weight (m={m}, n={n}) degree {t}: K={q.K}, "
         f"max residual {q.max_abs_residual:.3e}, certified={q.certified}"
@@ -272,26 +305,17 @@ def _design_csv(design: Design) -> str:
 @_cache_dir_option
 def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file, cache_dir):
     """Plan, build, and verify a degree-T design on S^N."""
-    overrides = _load_plan(plan_file) if plan_file else None
-    try:
-        bp = plan(n, t, overrides)
-    except ValueError as exc:
-        raise InputError(f"invalid plan: {exc}")
+    bp = _plan(n, t, plan_file)
     cache = _open_cache(cache_dir)
     try:
         design, report = build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
     except (BuildError, NoConvergenceError) as exc:
         click.echo(f"build failed: {exc}", err=True)
         sys.exit(1)
-    except (CacheWriteError, OverflowError, MemoryError) as exc:
-        raise InputError(str(exc))
     if output:
-        if fmt == "csv":
-            atomic_write_text(output, _design_csv(design))
-        else:
-            atomic_write_text(output, _design_json(design))
+        _write("--output", output, _design_csv(design) if fmt == "csv" else _design_json(design))
     if report_out:
-        atomic_write_text(report_out, dump_json(report.to_json_dict()))
+        _write("--report-out", report_out, dump_json(report.to_json_dict()))
     click.echo(
         f"S^{n} degree {t}: {design.count} points "
         f"(lower bound {report.dgs_lower_bound}), max residual {report.max_residual:.3e}"
@@ -333,6 +357,15 @@ def _load_plan(path: Path) -> dict[int, tuple[int, int]]:
             )
         overrides[dim] = (value[0], value[1])
     return overrides
+
+
+def _plan(n: int, t: int, plan_file: Path | None):
+    """The build plan of S^n at degree t, with the --plan file's overrides."""
+    overrides = _load_plan(plan_file) if plan_file else None
+    try:
+        return plan(n, t, overrides)
+    except ValueError as exc:
+        raise InputError(f"invalid plan: {exc}")
 
 
 def _load_design(path: Path, t: int) -> Design:

@@ -410,7 +410,7 @@ def build(
     """
     fewest = _leaf_points(bp.root, bp.degree)
     if fewest * bp.root.ambient_dim * np.dtype(np.longdouble).itemsize > sys.maxsize:
-        raise MemoryError(f"S^{bp.sphere_dim} degree {bp.degree} needs at least {fewest} points, which do not fit in memory")
+        raise MemoryError(f"S^{bp.sphere_dim} degree {bp.degree} needs at least {_count_text(fewest)} points, which do not fit in memory")
     solver_opts = solver_opts or SolverOptions()
     cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
     report, form = certify_plan(
@@ -420,6 +420,15 @@ def build(
         return form(), report
     except MemoryError:
         raise MemoryError(f"the {report.total_points} points of S^{bp.sphere_dim} degree {bp.degree} do not fit in memory") from None
+
+
+def _count_text(count: int) -> str:
+    """A point count in decimal, or as a power of ten once it has more digits
+    than Python converts to text (sys.get_int_max_str_digits)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"about 10^{math.floor(math.log10(count))}"
 
 
 def _leaf_points(node: PlanNode, t: int) -> int:

@@ -6,9 +6,10 @@ polynomial p up to some degree t.  No closed-form construction is known, so
 `solve_equal_weight` searches numerically:
 
   1. pick a trial K: the ladder starts at the Gaussian count ceil((t+1)/2)
-     and grows x1.5 (step 4), but every rung below `_fewest_nodes(w, t)`, a
-     proven lower bound on K from the Christoffel numbers (see there), is
-     passed over without an attempt, since no rule can exist there;
+     (no rule has fewer nodes; past max_K nothing is tried) and grows x1.5
+     (step 4), but every rung below `_fewest_nodes(w, t)`, a proven lower
+     bound on K from the Christoffel numbers (see there), is passed over
+     without an attempt, since no rule can exist there;
   2. start from the Gaussian rule (Golub-Welsch, `jacobi.gauss_rule`), each
      node repeated in proportion to its weight (largest-remainder rounding),
      copies fanned out by SPREAD; if that fails, start from the (k - 1/2)/K
@@ -172,10 +173,11 @@ class NoConvergenceError(RuntimeError):
     """Raised when no K <= max_K produced residuals within tolerance.
 
     Carries the best quadrature and report found so the caller can inspect
-    the residual level or retry with a relaxed tolerance.
+    the residual level or retry with a relaxed tolerance.  Both are None when
+    the degree needs more than max_K nodes, so no K was tried.
     """
 
-    def __init__(self, message: str, best: Quadrature, report: QuadratureReport):
+    def __init__(self, message: str, best: Quadrature | None, report: QuadratureReport | None):
         super().__init__(message)
         self.best = best
         self.report = report
@@ -374,7 +376,10 @@ def solve_equal_weight(
     `_fewest_nodes(w, t)` are skipped, as no rule exists there.  Raises
     NoConvergenceError (carrying the best attempt) if no K up to opts.max_K
     reaches opts.tolerance; when the bound itself exceeds opts.max_K every
-    rung is still tried, and the message names the bound.
+    rung is still tried, and the message names the bound.  When even
+    ceil((t+1)/2) exceeds opts.max_K it raises at once, with no attempt: a
+    rule with K nodes averages the square of its node polynomial (degree 2K,
+    positive integral) to 0, so it is exact to degree at most 2K - 1.
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
@@ -389,7 +394,14 @@ def solve_equal_weight(
     def grow(K):
         return min(max(K + 1, math.ceil(K * 1.5)), opts.max_K)
 
-    K = min(max(1, math.ceil((t + 1) / 2)), opts.max_K)
+    K = (t + 2) // 2  # ceil((t+1)/2)
+    if K > opts.max_K:
+        raise NoConvergenceError(
+            f"no equal-weight rule of degree {t} for weight (m={w.m}, n={w.n}) up to K={opts.max_K}: "
+            f"a rule of degree {t} needs at least {K} nodes",
+            best=None,
+            report=None,
+        )
     fewest = _fewest_nodes(w, t)
     if fewest <= opts.max_K:
         while K < fewest:

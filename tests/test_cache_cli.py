@@ -1,4 +1,5 @@
 """Disk cache semantics, file formats, CLI behavior, and determinism."""
+import errno
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import stat
 import sys
 import threading
+import time
 
 import click
 import numpy as np
@@ -199,6 +201,20 @@ class TestBoundsCommand:
     def test_sphere_dim_zero_exits_2(self, runner):
         assert_input_error(runner.invoke(main, ["bounds", "0", "3"]), "N must be >= 1")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_power_too_long_to_print_exits_2_before_any_row(self, runner, fmt):
+        # a_1000 = 5049: 10^5049 has 5050 digits, past Python's default 4300
+        assert_input_error(
+            runner.invoke(main, ["bounds", "1000", "10", "--format", fmt]),
+            "S^1000 up to T_MAX 10: t^a_n reaches 10^5049, 5050 digits, over the 4300",
+        )
+
+    def test_power_just_short_of_the_digit_limit_prints(self, runner):
+        # 7^5049 has 4267 digits
+        result = runner.invoke(main, ["bounds", "1000", "7", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["rows"][-1]["t_pow_exponent"] == 7**5049
+
     def test_achieved_column_fed_by_cache(self, runner, tmp_path):
         build_result = runner.invoke(
             main, ["build", "2", "2", "--cache-dir", str(tmp_path)]
@@ -365,6 +381,19 @@ class TestQuadratureCommand:
             "the mass of the (m=3000, n=5) weight does not fit in a float64",
         )
 
+    def test_degree_past_max_k_exits_1_at_once_and_writes_nothing(self, runner, tmp_path):
+        # a 50001-node Gauss rule would need a dense 50001 x 50001 eigenproblem
+        out = tmp_path / "q.json"
+        start = time.perf_counter()
+        result = runner.invoke(main, ["quadrature", "2", "1", "100000", "-o", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "no convergence: no equal-weight rule of degree 100000 for weight (m=2, n=1) up to K=512: "
+            "a rule of degree 100000 needs at least 50001 nodes"
+        ]
+        assert result.stdout == "" and not out.exists()
+
 
 @pytest.mark.parametrize(
     "args,message",
@@ -399,6 +428,21 @@ class TestBuildCommand:
 
         monkeypatch.setattr("designforge.construct.certify_plan", certify_plan)
         assert_input_error(runner.invoke(main, ["build", "200", "2"]), "needs at least 2435013403100201220879672449168160867466000113598464 points")
+
+    def test_count_too_long_to_print_is_a_power_of_ten(self, runner):
+        assert_input_error(
+            runner.invoke(main, ["build", "20000", "2"]),
+            "S^20000 degree 2 needs at least about 10^4997 points, which do not fit in memory",
+        )
+
+    def test_degree_past_max_k_exits_1_naming_the_node_count(self, runner):
+        # S^2 of degree t joins with the (2, 1) rule of degree t // 2 = 50000
+        result = runner.invoke(main, ["build", "2", "100000"])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "build failed: no equal-weight rule of degree 50000 for weight (m=2, n=1) up to K=512: "
+            "a rule of degree 50000 needs at least 25001 nodes"
+        ]
 
     def test_weight_whose_mass_overflows_exits_2(self, runner, tmp_path):
         # a plan that reaches such a weight has over a thousand leaves, so it is
@@ -535,6 +579,10 @@ class TestBuildCommand:
         assert outputs[0] == outputs[1]
 
 
+# longer than any file system's 255-byte limit on a name: stat fails with ENAMETOOLONG, even as root
+LONG_NAME = "a" * 300 + ".json"
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -547,9 +595,13 @@ class TestBuildCommand:
         (["build", "2", "1", "-o", "fifo"], "--output fifo: exists and is not a regular file"),
         (["build", "2", "1", "--report-out", "fifo"], "--report-out fifo: exists and is not a regular file"),
         (["quadrature", "2", "1", "1", "-o", "fifo"], "--output fifo: exists and is not a regular file"),
+        (["build", "2", "3", "-o", LONG_NAME], f"--output {LONG_NAME}: File name too long"),
+        (["build", "2", "3", "--report-out", LONG_NAME], f"--report-out {LONG_NAME}: File name too long"),
+        (["quadrature", "2", "1", "3", "-o", LONG_NAME], f"--output {LONG_NAME}: File name too long"),
     ],
     ids=["build-output", "build-report-out", "quadrature-output", "cache-dir-under-file",
-         "build-output-empty", "build-output-fifo", "build-report-out-fifo", "quadrature-output-fifo"],
+         "build-output-empty", "build-output-fifo", "build-report-out-fifo", "quadrature-output-fifo",
+         "build-output-long-name", "build-report-out-long-name", "quadrature-output-long-name"],
 )
 def test_unwritable_path_exits_2_before_solving(runner, tmp_path, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -558,6 +610,56 @@ def test_unwritable_path_exits_2_before_solving(runner, tmp_path, monkeypatch, a
     monkeypatch.setattr("designforge.construct.solve_equal_weight", None)  # any solve would fail loudly
     assert_input_error(runner.invoke(main, args), message)
     assert stat.S_ISFIFO(os.stat(tmp_path / "fifo").st_mode)  # not replaced by a regular file
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["build", "2", "3", "-o", "d.json"], "--output"),
+        (["build", "2", "3", "--report-out", "d.json"], "--report-out"),
+        (["quadrature", "2", "1", "3", "-o", "d.json"], "--output"),
+    ],
+    ids=["build-output", "build-report-out", "quadrature-output"],
+)
+def test_write_failing_after_the_solve_exits_2(runner, tmp_path, monkeypatch, args, option):
+    def full_disk(path, text):
+        assert isinstance(text, str)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("designforge.cli.atomic_write_text", full_disk)
+    assert_input_error(runner.invoke(main, args), f"{option} d.json: No space left on device")
+
+
+@pytest.mark.parametrize(
+    "error,text",
+    [
+        (CacheWriteError, "cannot write cache entry e.json: Read-only file system"),
+        (OverflowError, "the mass of the weight does not fit in a float64"),
+        (MemoryError, None),
+    ],
+    ids=["cache-write", "overflow", "bare-memory"],
+)
+@pytest.mark.parametrize(
+    "args,library_call",
+    [
+        (["build", "2", "3"], "build"),
+        (["quadrature", "2", "1", "3"], "solve_cached"),
+        (["verify", "d.csv", "-t", "1"], "verify_design"),
+        (["bounds", "2", "3", "--cache-dir", "."], "certify_plan"),
+    ],
+    ids=["build", "quadrature", "verify", "bounds"],
+)
+def test_library_input_errors_are_one_line_for_every_command(runner, tmp_path, monkeypatch, args, library_call, error, text):
+    def fail(*args, **kwargs):
+        raise error(text) if text else error()
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("1,0\n-1,0\n")
+    monkeypatch.setattr(f"designforge.cli.{library_call}", fail)
+    result = runner.invoke(main, args)
+    assert_input_error(result, text or "MemoryError")
+    assert result.output.removeprefix("Error:").strip()
 
 
 @pytest.mark.parametrize(

@@ -372,6 +372,24 @@ class TestSolveEqualWeight:
         assert err.value.best.K <= 5
         assert err.value.report.max_abs_residual > 1e-12
 
+    def test_degree_past_max_K_is_refused_before_any_attempt(self, monkeypatch):
+        calls = []
+        real_gauss, real_lm = quadrature_module.gauss_rule, quadrature_module._levenberg_marquardt
+        monkeypatch.setattr(quadrature_module, "gauss_rule", lambda *args: calls.append("gauss") or real_gauss(*args))
+        monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", lambda *args: calls.append("lm") or real_lm(*args))
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 60)
+        # ceil(11/2) = 6 > 5: no rule of degree 10 has 5 nodes, so nothing is tried
+        with pytest.raises(NoConvergenceError) as err:
+            solve_equal_weight(JacobiWeight(2, 1), 10, SolverOptions(max_K=5))
+        assert err.value.best is None and err.value.report is None
+        assert "up to K=5" in str(err.value) and "needs at least 6 nodes" in str(err.value)
+        assert calls == []
+        # ceil(10/2) = 5: degree 9 still climbs the ladder to K=5
+        with pytest.raises(NoConvergenceError) as err:
+            solve_equal_weight(JacobiWeight(2, 1), 9, SolverOptions(max_K=5))
+        assert err.value.best.K == 5
+        assert "gauss" in calls and calls.count("lm") == 2
+
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             solve_equal_weight(JacobiWeight(2, 2), -1)
