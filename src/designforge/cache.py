@@ -50,6 +50,15 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def load_json(text: str | bytes):
+    """json.loads, with nesting deeper than the decoder's recursion limit a
+    ValueError, like an integer past Python's digit limit or any malformed text."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested deeper than Python's recursion limit") from None
+
+
 def key(m: int, n: int, t: int, tol: float) -> str:
     """Cache key of a rule; the on-disk cache stores it as <key>.json."""
     return f"m{m}_n{n}_t{t}_e{round(math.log10(tol))}"
@@ -102,7 +111,7 @@ class QuadratureCache(InMemoryQuadratureCache):
             warnings.warn(f"ignoring unreadable cache entry {path}: {exc.strerror}")
             return None
         try:
-            return Quadrature.from_json_dict(json.loads(data))
+            return Quadrature.from_json_dict(load_json(data))
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"ignoring corrupt cache entry {path}: {exc}")
             return None

@@ -3,8 +3,10 @@
 Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge (a degree T whose
 ceil((T+1)/2) exceeds --max-k at once, as no rule has fewer nodes), 2 with a
-one-line message for user-input errors: unreadable input files, output or
-cache paths that cannot be written, invalid build plans, out-of-range
+one-line message for user-input errors: unreadable input files (JSON that
+Python's parser refuses too: an integer past its digit limit, nesting past
+its recursion limit), output or cache paths that cannot be written, `-o`
+and `--report-out` naming one file, invalid build plans, out-of-range
 dimensions, degrees, tolerances or solver limits, a `bounds` table whose
 t^a_n has more digits than Python prints, and click's own usage errors (a
 value of the wrong type, an unknown option or command, a missing argument).
@@ -24,6 +26,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import stat
 import sys
 from pathlib import Path
@@ -31,7 +34,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json
+from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json, load_json
 from .construct import (
     DESIGN_TOLERANCE,
     BuildError,
@@ -91,6 +94,13 @@ def _writable(ctx, param, value):
     except OSError as exc:  # a name too long, a loop of symbolic links
         raise InputError(f"{_name(param)} {value}: {exc.strerror}")
     return value
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    try:
+        return os.path.samefile(a, b)  # also a hard link or a symbolic link to the other
+    except OSError:  # one of them is not there yet
+        return a.resolve() == b.resolve()
 
 
 def _write(option: str, path: Path, text: str) -> None:
@@ -305,6 +315,8 @@ def _design_csv(design: Design) -> str:
 @_cache_dir_option
 def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file, cache_dir):
     """Plan, build, and verify a degree-T design on S^N."""
+    if output and report_out and _same_file(output, report_out):
+        raise InputError(f"--output {output} and --report-out {report_out} name the same file")
     bp = _plan(n, t, plan_file)
     cache = _open_cache(cache_dir)
     try:
@@ -332,11 +344,13 @@ def _read_text(path: Path) -> str:
 
 def _parse_json(path: Path, text: str):
     try:
-        return json.loads(text)
+        return load_json(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # an integer past Python's digit limit, nesting past the recursion limit
+        raise InputError(f"parse error in {path}: {exc}")
 
 
 def _load_plan(path: Path) -> dict[int, tuple[int, int]]:

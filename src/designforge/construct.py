@@ -13,11 +13,11 @@ degree (|a|+|b|)/2 <= floor(t/2).  A T of degree k thus gives degree
 min(X, Y, 2k+1).  Iterating the map from the two trivial bases -- the pair
 {-1, +1} in R^1 and regular polygons in R^2 -- reaches every dimension.
 
-The split schedule halves the ambient dimension at each level: ambient 2q
-splits into (q, q) and ambient 2q+1 into (q, q+1), except ambient 3 which
-splits into (2, 1), i.e. a polygon times {-1, +1} (the quadrature there
-needs O(t^2) nodes, so the three-dimensional sphere costs O(t^3) points).
-`a_sequence` gives the resulting cardinality growth exponents.
+`_default_split` states the paper's tree once: ambient a splits into
+(floor(a/2), ceil(a/2)), except ambient 3 into (2, 1), a polygon times
+{-1, +1}.  Leaves grow like t^0 and t^1, and a join of the spheres of R^m
+and R^n takes a rule whose K grows like t^max(m, n) (Kuijlaars, 1995), so
+`a_sequence` folds the join law a(m + n) = a(m) + a(n) + max(m, n) over it.
 
 `build` walks the plan once.  `certify_plan` goes bottom-up, certifying
 each node's table of monomial averages (walked over a leaf's points, read
@@ -72,8 +72,9 @@ class Design:
             raise ValueError(
                 f"points must be a non-empty (N, {self.ambient_dim}) array, got {pts.shape}"
             )
-        norms = np.sqrt((pts.astype(np.float64) ** 2).sum(axis=1))
-        worst = float(np.max(np.abs(norms - 1.0)))
+        squares = np.einsum("ij,ij->i", pts, pts)  # in long double, with no copy of the points
+        # sqrt is monotone, so |norm - 1| peaks at the smallest or the largest square
+        worst = float(np.max(np.abs(np.sqrt([squares.min(), squares.max()]) - 1)))
         if not worst <= _NORM_TOL:  # also true when a coordinate is NaN or infinite
             raise ValueError(f"points must have unit norm within {_NORM_TOL:g}; worst |~1| = {worst:.3e}")
         self.points = pts
@@ -156,31 +157,39 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
 
     degree = min(X.degree, Y.degree, 2 * T.degree + 1)
     scales = _scales_of(T)
-    points = np.empty((T.K * X.count * Y.count, m + n), dtype=np.longdouble)
-    blocks = points.reshape(T.K, X.count * Y.count, m + n)
-    np.multiply(scales[:, 0, None, None], np.repeat(X.points, Y.count, axis=0), out=blocks[:, :, :m])
-    np.multiply(scales[:, 1, None, None], np.tile(Y.points, (X.count, 1)), out=blocks[:, :, m:])
-    return Design(ambient_dim=m + n, degree=degree, points=points)
+    points = np.empty((T.K, X.count, Y.count, m + n), dtype=np.longdouble)
+    np.multiply(scales[:, 0, None, None, None], X.points[:, None, :], out=points[..., :m])
+    np.multiply(scales[:, 1, None, None, None], Y.points, out=points[..., m:])
+    return Design(ambient_dim=m + n, degree=degree, points=points.reshape(-1, m + n))
+
+
+def _default_split(ambient: int) -> tuple[int, int]:
+    """The paper's split of an ambient dimension >= 3: (floor(a/2), ceil(a/2)),
+    but (2, 1) for ambient 3, the polygon first."""
+    return (2, 1) if ambient == 3 else (ambient // 2, (ambient + 1) // 2)
 
 
 @cache
-def a_sequence(n: int) -> int:
-    """Cardinality growth exponent for designs on the n-sphere built here.
+def _exponent(ambient: int) -> int:
+    """a(1) = 0, a(2) = 1, a(m + n) = a(m) + a(n) + max(m, n) over `_default_split`."""
+    if ambient <= 2:
+        return ambient - 1
+    m, n = _default_split(ambient)
+    return _exponent(m) + _exponent(n) + max(m, n)
 
-    a_1 = 1, a_2 = 3, a_{2q-1} = 2 a_{q-1} + q, a_{2q} = a_{q-1} + a_q + q + 1.
-    Satisfies a_{2^k - 1} = k 2^{k-1} and a_n < (n/2) log2(2n) for n > 10.
+
+def a_sequence(n: int) -> int:
+    """Cardinality growth exponent a_n of the designs on S^n built here.
+
+    A join of the spheres of R^m and R^n takes a rule whose K grows like
+    t^max(m, n) (Kuijlaars, 1995), so a_n = a(n + 1) under the join law
+    a(m + n) = a(m) + a(n) + max(m, n) over `_default_split`, the one
+    statement of the split.  Satisfies a_{2^k - 1} = k 2^{k-1} and
+    a_n < (n/2) log2(2n) for n > 10.
     """
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    if n == 2:
-        return 3
-    if n % 2 == 1:
-        q = (n + 1) // 2
-        return 2 * a_sequence(q - 1) + q
-    q = n // 2
-    return a_sequence(q - 1) + a_sequence(q) + q + 1
+    return _exponent(n + 1)
 
 
 def lower_bound(n: int, t: int) -> int:
@@ -223,8 +232,7 @@ class BuildPlan:
 def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) -> BuildPlan:
     """Build plan for a t-design on S^n.
 
-    The default split sends ambient dimension 2q to (q, q) and 2q+1 to
-    (q, q+1), with ambient 3 handled as (2, 1).  `overrides` maps an ambient
+    Ambient dimensions split by `_default_split`.  `overrides` maps an ambient
     dimension >= 3 to a custom (m, n) child pair with m + n = ambient, for
     experimenting with other trees; ambient 1 and 2 are leaves.  An override
     for an ambient dimension the tree never reaches is an error, not ignored.
@@ -240,15 +248,6 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
         if dm < 1 or dn < 1 or dm + dn != dim:
             raise ValueError(f"override for ambient {dim} must split into positive dims summing to {dim}, got ({dm}, {dn})")
 
-    def split_of(ambient: int) -> tuple[int, int]:
-        if ambient in overrides:
-            return overrides[ambient]
-        if ambient == 3:
-            return 2, 1
-        if ambient % 2 == 0:
-            return ambient // 2, ambient // 2
-        return ambient // 2, ambient // 2 + 1
-
     reached = set()
 
     def make(ambient: int) -> PlanNode:
@@ -257,7 +256,7 @@ def plan(n: int, t: int, overrides: dict[int, tuple[int, int]] | None = None) ->
             return PlanNode(ambient_dim=1, kind="s0")
         if ambient == 2:
             return PlanNode(ambient_dim=2, kind="s1")
-        dm, dn = split_of(ambient)
+        dm, dn = overrides.get(ambient) or _default_split(ambient)
         return PlanNode(ambient_dim=ambient, kind="product", left=make(dm), right=make(dn))
 
     root = make(n + 1)

@@ -57,11 +57,17 @@ SPREAD = 0.05
 QUANTILE_CELLS = 2048
 
 
-def _each(fn, values: list) -> list:
+# numpy makes no array of more dimensions (NPY_MAXDIMS: 64 since numpy 2, 32 before)
+_MAX_NESTING = 64
+
+
+def _each(fn, values: list, depth: int = 1) -> list:
     if isinstance(values, str):  # would map over its characters
         raise TypeError("expected a list of numbers, got a string")
     if values and isinstance(values[0], list):
-        return [_each(fn, v) for v in values]
+        if depth == _MAX_NESTING:  # refused before the recursion can run out of stack
+            raise ValueError(f"lists nested more than {_MAX_NESTING} deep")
+        return [_each(fn, v, depth + 1) for v in values]
     return list(map(fn, values))
 
 

@@ -12,6 +12,10 @@
 * `orthonormal_values_direct` is the per-row recurrence loop that the
   stacked kernel `jacobi.orthonormal_values` replaced.  Both do the same
   arithmetic in the same order, so they must agree bit for bit.
+* `product_points_repeat_tile` forms a product's points from full copies of
+  the factors, `np.repeat` of X and `np.tile` of Y, scaled one node at a
+  time.  `construct.product` broadcasts the factors instead; each
+  coordinate is the same single product, so the two must agree bit for bit.
 * `same_bits` compares floating-point arrays by value and sign bit.
   `tobytes()` will not do for long doubles: on x86-64 each 80-bit value is
   stored in 16 bytes, and the 6 padding bytes are not initialised, so two
@@ -34,6 +38,7 @@ import mpmath as mp
 import numpy as np
 
 from designforge import MultiIndex, VerificationReport, iter_multi_indices, sphere_monomial_moment
+from designforge.construct import _scales_of
 from designforge.jacobi import _coefficients
 
 
@@ -111,6 +116,13 @@ def moment_deviations_direct(design, t: int) -> list[tuple[MultiIndex, np.longdo
         average = values.sum() / count
         out.append((alpha, average - np.longdouble(mu.numerator) / np.longdouble(mu.denominator)))
     return out
+
+
+def product_points_repeat_tile(X, Y, T) -> np.ndarray:
+    """Node k's block of rows is (s_k * x_i, c_k * y_j) for every i, then j."""
+    xs = np.repeat(X.points, Y.count, axis=0)
+    ys = np.tile(Y.points, (X.count, 1))
+    return np.vstack([np.hstack([s * xs, c * ys]) for s, c in _scales_of(T)])
 
 
 def same_bits(a, b) -> bool:

@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 import time
+from pathlib import Path
 
 import click
 import numpy as np
@@ -39,6 +40,16 @@ from oracles import per_value_text
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+# JSON text past the parsers' limits: an integer with more digits than Python
+# converts, and lists nested deeper than its recursion limit
+LONG_INT = "9" * 5000
+DEEP = "[" * 100_000
+
+
+def nested(depth: int, leaf: str) -> str:
+    return "[" * depth + leaf + "]" * depth
 
 
 def assert_input_error(result, message):
@@ -86,6 +97,14 @@ class TestQuadratureCache:
         path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
         path.write_text("{ not json")
         with pytest.warns(UserWarning, match="corrupt"):
+            assert cache.lookup(2, 2, 2, 1e-12) is None
+
+    @pytest.mark.parametrize("nodes", [None, nested(900, '"0x0p+0"')], ids=["whole-file", "nodes"])
+    def test_entry_nested_past_the_recursion_limit_ignored_with_warning(self, tmp_path, nodes):
+        cache = QuadratureCache(tmp_path)
+        path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
+        path.write_text(DEEP if nodes is None else f'{{"m": 2, "n": 2, "degree": 2, "K": 1, "nodes_hex": {nodes}}}')
+        with pytest.warns(UserWarning, match="ignoring corrupt cache entry .*nested"):
             assert cache.lookup(2, 2, 2, 1e-12) is None
 
     def test_unreadable_entry_ignored_with_warning_and_never_written_over(self, tmp_path):
@@ -324,6 +343,21 @@ class TestUnreadableCacheEntry:
         assert [row["achieved"] for row in json.loads(result.output)["rows"]] == expected
 
 
+@pytest.mark.parametrize("args", [["build", "2", "3"], ["bounds", "2", "3"]], ids=["build", "bounds"])
+def test_cache_entry_nested_past_the_recursion_limit_is_ignored_with_warning(runner, tmp_path, args):
+    entry = tmp_path / "quadratures" / (key(2, 1, 1, 1e-12) + ".json")
+    entry.parent.mkdir()
+    entry.write_text(DEEP)
+    with pytest.warns(UserWarning) as warned:
+        result = runner.invoke(main, [*args, "--cache-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert {str(w.message) for w in warned} == {
+        f"ignoring corrupt cache entry {entry}: JSON nested deeper than Python's recursion limit"
+    }
+    if args[0] == "build":  # re-solved and stored over the corrupt entry
+        assert Quadrature.from_json_dict(json.loads(entry.read_text())).weight == JacobiWeight(2, 1)
+
+
 class TestQuadratureCommand:
     def test_writes_sorted_17_digit_nodes(self, runner, tmp_path):
         out = tmp_path / "q.json"
@@ -504,8 +538,11 @@ class TestBuildCommand:
             (b'\xff{"4": [1, 3]}', "not UTF-8"),
             (b'{"2": [1, 1]}', "ambient 2 is a leaf"),
             (b'{"9": [4, 5]}', "invalid plan: ambient 9 is not in the tree"),
+            (b'{"4": [1, %s]}' % LONG_INT.encode(), "parse error"),
+            (DEEP.encode(), "JSON nested deeper than Python's recursion limit"),
         ],
-        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8", "ambient-2", "unreached"],
+        ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8", "ambient-2", "unreached",
+             "5000-digit-split", "100000-deep"],
     )
     def test_bad_plan_file_exits_2(self, runner, tmp_path, content, message):
         plan_file = tmp_path / "plan.json"
@@ -516,6 +553,21 @@ class TestBuildCommand:
         assert "Traceback" not in result.output
         assert len(result.output.strip().splitlines()) == 1
         assert not isinstance(result.exception, (ValueError, json.JSONDecodeError))
+
+    @pytest.mark.parametrize("report_out", ["x.json", "./x.json", "link.json", "hard.json"])
+    def test_output_and_report_out_naming_one_file_exits_2_before_solving(self, runner, tmp_path, monkeypatch, report_out):
+        # the report used to replace the design, and the build exited 0
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("designforge.construct.solve_equal_weight", None)  # any solve would fail loudly
+        if report_out == "link.json":
+            os.symlink("x.json", "link.json")  # dangling until the design is written
+        if report_out == "hard.json":
+            (tmp_path / "x.json").write_text("old\n")
+            os.link("x.json", "hard.json")
+        before = {p.name: p.read_bytes() if p.exists() else os.readlink(p) for p in tmp_path.iterdir()}
+        result = runner.invoke(main, ["build", "2", "3", "-o", "x.json", "--report-out", report_out])
+        assert_input_error(result, f"--output x.json and --report-out {Path(report_out)} name the same file")
+        assert {p.name: p.read_bytes() if p.exists() else os.readlink(p) for p in tmp_path.iterdir()} == before
 
     def test_phase_changes_points_not_verdict(self, runner, tmp_path):
         a = tmp_path / "a.json"
@@ -909,6 +961,20 @@ class TestVerifyCommand:
         bad.write_text("1,0\n0,1,0\n")
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
         assert_input_error(result, "ragged.csv at line 2: 3 values, expected 2")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ambient_dim": 2, "degree": %s, "count": 2, "points": [[1, 0], [-1, 0]]}' % LONG_INT,
+            DEEP,
+            '{"ambient_dim": 2, "degree": 1, "count": 2, "points": %s}' % nested(900, '"1"'),
+        ],
+        ids=["5000-digit-degree", "100000-deep", "points-900-deep"],
+    )
+    def test_json_past_the_parser_limits_is_parse_error(self, runner, tmp_path, text):
+        bad = tmp_path / "d.json"
+        bad.write_text(text)
+        assert_input_error(runner.invoke(main, ["verify", str(bad), "-t", "2"]), f"parse error in {bad}: ")
 
     def test_json_missing_field_is_named(self, runner, tmp_path):
         bad = tmp_path / "d.json"

@@ -1,5 +1,7 @@
 """Base designs, the product map, the exponent sequence, planner and builder."""
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from designforge import (
     verify_design,
     verify_monomials,
 )
+from designforge.construct import _default_split, _exponent
+from oracles import product_points_repeat_tile, same_bits
 
 
 class CountingCache(InMemoryQuadratureCache):
@@ -106,6 +110,27 @@ class TestProduct:
             np.repeat(np.asarray(X.points, dtype=float), 2, axis=0), abs=1e-18
         )
 
+    def test_points_are_the_repeat_tile_formula_bit_for_bit(self, built):
+        cases = [
+            (base_s1(4), base_s1(4), solve_equal_weight(JacobiWeight(2, 2), 4)[0]),
+            (base_s1(5, phase=0.3), base_s0(5), solve_equal_weight(JacobiWeight(2, 1), 2)[0]),
+            (built(2, 6)[0], base_s1(6), solve_equal_weight(JacobiWeight(3, 2), 3)[0]),
+        ]
+        for X, Y, T in cases:
+            assert same_bits(product(X, Y, T).points, product_points_repeat_tile(X, Y, T))
+
+    def test_forms_no_copy_of_the_factors_or_the_points(self):
+        # beside the points, only one long double per point (the squared norms)
+        X, Y = base_s1(40), base_s1(40)
+        T, _ = solve_equal_weight(JacobiWeight(2, 2), 20)
+        tracemalloc.start()
+        try:
+            points = product(X, Y, T).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * points.nbytes
+
     def test_unit_norms(self):
         X, Y = base_s1(4), base_s1(4)
         T, _ = solve_equal_weight(JacobiWeight(2, 2), 4)
@@ -165,6 +190,22 @@ class TestExponentSequence:
         with pytest.raises(ValueError):
             a_sequence(0)
 
+    def test_join_law_folded_over_the_default_plan(self):
+        def fold(node):
+            if node.kind != "product":
+                return 0 if node.kind == "s0" else 1
+            return fold(node.left) + fold(node.right) + max(node.split)
+
+        for n in range(1, 201):
+            assert fold(plan(n, 3).root) == a_sequence(n), n
+
+    def test_is_memoized_per_ambient_dimension(self):
+        # the default tree of S^(10^6) has about 2 * 10^6 nodes, but few distinct ambient dimensions
+        _exponent.cache_clear()
+        start = time.perf_counter()
+        a_sequence(10**6)
+        assert time.perf_counter() - start < 0.1
+
 
 class TestLowerBound:
     @pytest.mark.parametrize(
@@ -195,6 +236,17 @@ class TestPlan:
         assert bp.root.split == (2, 3)
         assert bp.root.left.kind == "s1"
         assert bp.root.right.kind == "product" and bp.root.right.split == (2, 1)
+
+    def test_every_default_split_is_default_split(self):
+        def products(node):
+            if node.kind == "product":
+                yield node
+                yield from products(node.left)
+                yield from products(node.right)
+
+        for n in range(1, 201):
+            for node in products(plan(n, 2).root):
+                assert node.split == _default_split(node.ambient_dim)
 
     def test_even_and_odd_ambient_rules(self):
         assert plan(5, 1).root.split == (3, 3)
@@ -296,6 +348,11 @@ class TestDesignType:
             Design(ambient_dim=2, degree=1, points=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):  # NaN fails every comparison, so test it on its own
             Design(ambient_dim=2, degree=1, points=np.array([[np.nan, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_coordinate_among_unit_rows(self, bad):
+        with pytest.raises(ValueError, match="unit norm"):
+            Design(ambient_dim=2, degree=1, points=np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0]]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -531,6 +531,21 @@ class TestQuadratureType:
             product(base_s1(7), base_s0(7), forged)
         assert certify(forged, 1e-12).max_abs_residual > 1e-12 and not forged.certified
 
+    @pytest.mark.parametrize("depth", [65, 5000])
+    def test_nodes_nested_past_any_array_are_a_value_error(self, depth):
+        # the decoder once recursed once per level, into a RecursionError at about 1000
+        nodes = ["0x0p+0"]
+        for _ in range(depth - 1):
+            nodes = [nodes]
+        with pytest.raises(ValueError, match="lists nested more than 64 deep"):
+            decode_floats({"nodes_hex": nodes}, "nodes")
+
+    def test_nodes_nested_as_deep_as_an_array_goes_decode(self):
+        nodes = ["0x0p+0"]
+        for _ in range(63):
+            nodes = [nodes]
+        assert decode_floats({"nodes_hex": nodes}, "nodes").ndim == 64
+
     @pytest.mark.parametrize("field", ["m", "n", "degree", "K"])
     @pytest.mark.parametrize("value", [float("inf"), 2.0, True, "2"])
     def test_json_counts_must_be_integers(self, field, value):
