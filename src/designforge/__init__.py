@@ -21,7 +21,6 @@ from .moments import (
     MultiIndex,
     iter_multi_indices,
     jacobi_moment_ratio,
-    power_moment,
     sphere_monomial_moment,
 )
 from .quadrature import (
@@ -63,7 +62,6 @@ __all__ = [
     "jacobi_moment_ratio",
     "lower_bound",
     "plan",
-    "power_moment",
     "product",
     "solve_cached",
     "solve_equal_weight",

@@ -1,8 +1,9 @@
 """Command-line surface: bounds tables, quadrature solves, builds, verification.
 
 Exit codes: 0 when every requested certification passed, 1 when a
-certification failed or a solve did not converge (a degree T whose
-ceil((T+1)/2) exceeds --max-k at once, as no rule has fewer nodes), 2 with a
+certification failed or a solve did not converge (at once, and with no
+`quadrature -o` file, when the degree's node floor, the larger of
+ceil((T+1)/2) and the Christoffel bound, exceeds --max-k), 2 with a
 one-line message for user-input errors: unreadable input files (JSON that
 Python's parser refuses too: an integer past its digit limit, nesting past
 its recursion limit), output or cache paths that cannot be written, `-o`
@@ -217,8 +218,12 @@ def bounds(n, t_max, fmt, cache_dir):
     nothing."""
     cache = QuadratureCache(cache_dir) if cache_dir and (cache_dir / "quadratures").is_dir() else None
 
+    @functools.cache  # rows t = 2s and 2s+1 need the same rules: each is read once per table, misses too
+    def cached_rule(m, k, degree):
+        return cache.lookup(m, k, degree, SolverOptions().tolerance) if cache else None
+
     def rule_for(m, k, degree):
-        rule = cache.lookup(m, k, degree, SolverOptions().tolerance) if cache else None
+        rule = cached_rule(m, k, degree)
         if rule is None:
             raise _NoRule
         return rule

@@ -136,21 +136,6 @@ def jacobi_moment_ratio(w: JacobiWeight, a: int, b: int) -> Fraction:
     return num / _rising(Fraction(w.m + w.n, 2), a + b)
 
 
-def power_moment(w: JacobiWeight, d: int) -> Fraction:
-    """Normalized power moment mu_d = integral of t^d w(t) dt / integral of w(t) dt.
-
-    Obtained from jacobi_moment_ratio via t = 2*(1+t)/2 - 1 and the binomial
-    theorem; mu_0 = 1 always.
-    """
-    if d < 0:
-        raise ValueError(f"power must be non-negative, got {d}")
-    out = Fraction(0)
-    for j in range(d + 1):
-        sign = -1 if (d - j) % 2 else 1
-        out += sign * math.comb(d, j) * Fraction(2) ** j * jacobi_moment_ratio(w, 0, j)
-    return out
-
-
 def iter_multi_indices(dim: int, max_degree: int) -> Iterator[MultiIndex]:
     """All multi-indices of length dim with total degree <= max_degree.
 

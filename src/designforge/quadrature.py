@@ -5,11 +5,13 @@ average (1/K) sum p(t_k) reproduces the normalized integral of every
 polynomial p up to some degree t.  No closed-form construction is known, so
 `solve_equal_weight` searches numerically:
 
-  1. pick a trial K: the ladder starts at the Gaussian count ceil((t+1)/2)
-     (no rule has fewer nodes; past max_K nothing is tried) and grows x1.5
-     (step 4), but every rung below `_fewest_nodes(w, t)`, a proven lower
-     bound on K from the Christoffel numbers (see there), is passed over
-     without an attempt, since no rule can exist there;
+  1. take the node floor, the larger of the Gaussian count ceil((t+1)/2)
+     and `_fewest_nodes(w, t)`, a proven lower bound on K from the
+     Christoffel numbers (see there); no rule has fewer nodes.  A floor past
+     max_K is refused at once, with nothing tried (ceil((t+1)/2) is checked
+     first, so a degree past max_K forms no Gauss rule).  Otherwise the
+     ladder starts at ceil((t+1)/2) and grows x1.5 (step 4), passing over
+     every rung below the floor without an attempt;
   2. start from the Gaussian rule (Golub-Welsch, `jacobi.gauss_rule`), each
      node repeated in proportion to its weight (largest-remainder rounding),
      copies fanned out by SPREAD; if that fails, start from the (k - 1/2)/K
@@ -27,7 +29,8 @@ polynomial p up to some degree t.  No closed-form construction is known, so
      Each step solves the damped normal equations in min(t, K) dimensions
      (`_lm_step`), since at high degree K is several times t;
   4. when both fail, grow K geometrically (x1.5, rounded up) and retry up to
-     max_K, then raise NoConvergenceError with the closest attempt's report.
+     max_K, then raise NoConvergenceError with the closest attempt's report
+     (a floor past max_K raises it in step 1, with no attempt to carry).
 
 Residuals use the orthonormal basis rather than raw powers: the exact target
 is then 0 for every degree >= 1, and the system stays well-conditioned.
@@ -180,7 +183,7 @@ class NoConvergenceError(RuntimeError):
 
     Carries the best quadrature and report found so the caller can inspect
     the residual level or retry with a relaxed tolerance.  Both are None when
-    the degree needs more than max_K nodes, so no K was tried.
+    the node floor exceeds max_K, so no K was tried.
     """
 
     def __init__(self, message: str, best: Quadrature | None, report: QuadratureReport | None):
@@ -378,14 +381,16 @@ def solve_equal_weight(
 ) -> tuple[Quadrature, QuadratureReport]:
     """Find a certified equal-weight quadrature of degree t for the weight w.
 
-    K climbs the ladder ceil((t+1)/2), then x1.5 up to opts.max_K; rungs below
-    `_fewest_nodes(w, t)` are skipped, as no rule exists there.  Raises
-    NoConvergenceError (carrying the best attempt) if no K up to opts.max_K
-    reaches opts.tolerance; when the bound itself exceeds opts.max_K every
-    rung is still tried, and the message names the bound.  When even
-    ceil((t+1)/2) exceeds opts.max_K it raises at once, with no attempt: a
-    rule with K nodes averages the square of its node polynomial (degree 2K,
-    positive integral) to 0, so it is exact to degree at most 2K - 1.
+    The node floor is the larger of ceil((t+1)/2) and `_fewest_nodes(w, t)`:
+    a rule with K nodes averages the square of its node polynomial (degree
+    2K, positive integral) to 0, so it is exact to degree at most 2K - 1, and
+    the Christoffel bound is proven there.  When the floor exceeds
+    opts.max_K, NoConvergenceError is raised at once, naming the floor, with
+    no start formed and no attempt made (best and report None); the Gauss
+    rule behind the Christoffel bound is formed only when ceil((t+1)/2) fits.
+    Otherwise K climbs the ladder ceil((t+1)/2), then x1.5 up to opts.max_K,
+    skipping rungs below the floor, and NoConvergenceError carries the best
+    attempt if no K reaches opts.tolerance.
     """
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
@@ -401,17 +406,16 @@ def solve_equal_weight(
         return min(max(K + 1, math.ceil(K * 1.5)), opts.max_K)
 
     K = (t + 2) // 2  # ceil((t+1)/2)
-    if K > opts.max_K:
+    fewest = K if K > opts.max_K else max(K, _fewest_nodes(w, t))
+    if fewest > opts.max_K:
         raise NoConvergenceError(
             f"no equal-weight rule of degree {t} for weight (m={w.m}, n={w.n}) up to K={opts.max_K}: "
-            f"a rule of degree {t} needs at least {K} nodes",
+            f"a rule of degree {t} needs at least {fewest} nodes",
             best=None,
             report=None,
         )
-    fewest = _fewest_nodes(w, t)
-    if fewest <= opts.max_K:
-        while K < fewest:
-            K = grow(K)
+    while K < fewest:
+        K = grow(K)
     total_iterations = 0
     best: tuple[Quadrature, QuadratureReport] | None = None
     while True:
@@ -432,16 +436,10 @@ def solve_equal_weight(
 
     best_q, best_report = best
     best_report.iterations = total_iterations
-    why = ""
-    if fewest > opts.max_K:
-        why = (
-            f"; an equal-weight rule of degree {t} for weight (m={w.m}, n={w.n}) "
-            f"needs at least {fewest} nodes"
-        )
     raise NoConvergenceError(
         f"no equal-weight rule of degree {t} for weight (m={w.m}, n={w.n}) "
         f"within tolerance {opts.tolerance:g} up to K={opts.max_K}; "
-        f"best residual {best_report.max_abs_residual:.3e} at K={best_q.K}{why}",
+        f"best residual {best_report.max_abs_residual:.3e} at K={best_q.K}",
         best=best_q,
         report=best_report,
     )

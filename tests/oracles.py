@@ -27,17 +27,21 @@
 * `per_value_text` formats every value on its own, by "{:.17g}".format or
   float.hex.  `quadrature.float_text` formats each distinct bit pattern once
   and must give the same text.
+* `power_moment` is the normalized moment of t^d against a Jacobi weight,
+  expanded exactly from `jacobi_moment_ratio` by the binomial theorem; the
+  Gauss-rule tests compare against it.
 * `mc_moment_oracle` is deliberately dumb (normalized Gaussian sampling) and
   exists to cross-check the closed-form moments, not to certify designs.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
-from designforge import MultiIndex, VerificationReport, iter_multi_indices, sphere_monomial_moment
+from designforge import JacobiWeight, MultiIndex, VerificationReport, iter_multi_indices, jacobi_moment_ratio, sphere_monomial_moment
 from designforge.construct import _scales_of
 from designforge.jacobi import _coefficients
 
@@ -188,6 +192,21 @@ def per_value_text(values, exact: bool = False):
         return [each(x) for x in v] if isinstance(v, list) else fmt(v)
 
     return each(np.asarray(values).astype(np.float64).tolist())
+
+
+def power_moment(w: JacobiWeight, d: int) -> Fraction:
+    """Normalized power moment mu_d = integral of t^d w(t) dt / integral of w(t) dt.
+
+    Obtained from jacobi_moment_ratio via t = 2*(1+t)/2 - 1 and the binomial
+    theorem; mu_0 = 1 always.
+    """
+    if d < 0:
+        raise ValueError(f"power must be non-negative, got {d}")
+    out = Fraction(0)
+    for j in range(d + 1):
+        sign = -1 if (d - j) % 2 else 1
+        out += sign * math.comb(d, j) * Fraction(2) ** j * jacobi_moment_ratio(w, 0, j)
+    return out
 
 
 def mc_moment_oracle(

@@ -245,6 +245,22 @@ class TestBoundsCommand:
         data = json.loads(result.output)
         assert data["rows"][1]["achieved"] == 6
 
+    def test_each_cached_rule_is_read_once_per_table(self, runner, tmp_path, monkeypatch):
+        # rows t = 2s and 2s+1 need the same (2, 1) rule, of degree s: five rules for
+        # t = 1..9, of which `build 2 4` cached degree 2 and degree 1 is made corrupt
+        assert runner.invoke(main, ["build", "2", "4", "--cache-dir", str(tmp_path)]).exit_code == 0
+        entry = tmp_path / "quadratures" / (key(2, 1, 1, 1e-12) + ".json")
+        entry.write_text("{")
+        reads = []
+        real = QuadratureCache._read
+        monkeypatch.setattr(QuadratureCache, "_read", lambda self, k: reads.append(k) or real(self, k))
+        with pytest.warns(UserWarning) as warned:
+            result = runner.invoke(main, ["bounds", "2", "9", "--format", "json", "--cache-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(reads) == sorted(key(2, 1, d, 1e-12) for d in range(5))
+        assert [str(w.message).split(":")[0] for w in warned] == [f"ignoring corrupt cache entry {entry}"]
+        assert [row["achieved"] for row in json.loads(result.output)["rows"]] == [None, None, None, 20, 24, *[None] * 4]
+
     def test_bounds_creates_no_directory(self, runner, tmp_path):
         cache_dir = tmp_path / "newdir"
         result = runner.invoke(main, ["bounds", "2", "2", "--cache-dir", str(cache_dir)])
@@ -381,19 +397,23 @@ class TestQuadratureCommand:
         assert first.output == second.output
 
     def test_no_convergence_nonzero_exit_and_best_effort_file(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr("designforge.quadrature.MAX_ITERATIONS", 60)
+        monkeypatch.setattr("designforge.quadrature.MAX_ITERATIONS", 5)
         out = tmp_path / "q.json"
-        result = runner.invoke(main, ["quadrature", "2", "1", "6", "-o", str(out), "--max-k", "5"])
+        result = runner.invoke(main, ["quadrature", "2", "1", "7", "-o", str(out), "--max-k", "10"])
         assert result.exit_code == 1
         data = json.loads(out.read_text())
-        assert data["certified"] is False
+        assert data["certified"] is False and data["K"] == 10
 
     def test_no_convergence_names_the_node_bound(self, runner, tmp_path):
+        # ceil(7/2) = 4 fits --max-k 5, the Christoffel bound 6 does not: refused, nothing written
         out = tmp_path / "q.json"
         result = runner.invoke(main, ["quadrature", "2", "1", "6", "-o", str(out), "--max-k", "5"])
         assert result.exit_code == 1
-        assert json.loads(out.read_text())["certified"] is False
-        assert "needs at least 6 nodes" in result.stderr
+        assert result.stderr.splitlines() == [
+            "no convergence: no equal-weight rule of degree 6 for weight (m=2, n=1) up to K=5: "
+            "a rule of degree 6 needs at least 6 nodes"
+        ]
+        assert result.stdout == "" and not out.exists()
 
     def test_degree_zero(self, runner):
         result = runner.invoke(main, ["quadrature", "3", "2", "0"])

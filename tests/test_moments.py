@@ -12,10 +12,9 @@ from designforge import (
     MultiIndex,
     iter_multi_indices,
     jacobi_moment_ratio,
-    power_moment,
     sphere_monomial_moment,
 )
-from oracles import mc_moment_oracle
+from oracles import mc_moment_oracle, power_moment
 
 mp.mp.dps = 40
 

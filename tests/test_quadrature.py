@@ -14,14 +14,15 @@ from designforge import (
     base_s1,
     certify,
     jacobi_moment_ratio,
-    power_moment,
+    plan,
     product,
+    solve_cached,
     solve_equal_weight,
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 import designforge.quadrature as quadrature_module
 from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt, _lm_step, decode_floats, encode_floats
-from oracles import orthonormal_values_direct, same_bits, sin_cos_integral
+from oracles import orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
 
@@ -366,29 +367,33 @@ class TestSolveEqualWeight:
         assert doubled.certified and doubled.K == 2 * q.K
 
     def test_no_convergence_carries_best_attempt(self, monkeypatch):
-        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 60)
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 5)
+        # (2, 1) at degree 7: bound 10, so the one rung tried is K = max_K = 10
         with pytest.raises(NoConvergenceError) as err:
-            solve_equal_weight(JacobiWeight(2, 1), 6, SolverOptions(max_K=5))
-        assert err.value.best.K <= 5
+            solve_equal_weight(JacobiWeight(2, 1), 7, SolverOptions(max_K=10))
+        assert err.value.best.K == 10
         assert err.value.report.max_abs_residual > 1e-12
 
     def test_degree_past_max_K_is_refused_before_any_attempt(self, monkeypatch):
         calls = []
-        real_gauss, real_lm = quadrature_module.gauss_rule, quadrature_module._levenberg_marquardt
+        real_gauss, real_lm, real_quantile = (
+            quadrature_module.gauss_rule, quadrature_module._levenberg_marquardt, quadrature_module._init_quantile)
         monkeypatch.setattr(quadrature_module, "gauss_rule", lambda *args: calls.append("gauss") or real_gauss(*args))
         monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", lambda *args: calls.append("lm") or real_lm(*args))
-        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 60)
+        monkeypatch.setattr(quadrature_module, "_init_quantile", lambda *args: calls.append("quantile") or real_quantile(*args))
         # ceil(11/2) = 6 > 5: no rule of degree 10 has 5 nodes, so nothing is tried
         with pytest.raises(NoConvergenceError) as err:
             solve_equal_weight(JacobiWeight(2, 1), 10, SolverOptions(max_K=5))
         assert err.value.best is None and err.value.report is None
         assert "up to K=5" in str(err.value) and "needs at least 6 nodes" in str(err.value)
         assert calls == []
-        # ceil(10/2) = 5: degree 9 still climbs the ladder to K=5
+        # ceil(10/2) = 5 fits, but the Christoffel bound 15 of degree 9 does not:
+        # only the bound's Gauss rule is formed, no start and no LM attempt
         with pytest.raises(NoConvergenceError) as err:
             solve_equal_weight(JacobiWeight(2, 1), 9, SolverOptions(max_K=5))
-        assert err.value.best.K == 5
-        assert "gauss" in calls and calls.count("lm") == 2
+        assert err.value.best is None and err.value.report is None
+        assert "needs at least 15 nodes" in str(err.value)
+        assert calls == ["gauss"]
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
@@ -404,14 +409,14 @@ class TestSolveEqualWeight:
             return result
 
         monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", recording)
-        # uncapped, the first attempt stalls after 53 iterations; the cap is read at call time
-        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 40)
+        # the cap is read at call time
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 5)
         w = JacobiWeight(2, 1)
         with pytest.raises(NoConvergenceError) as err:
-            solve_equal_weight(w, 6, SolverOptions(max_K=5))
-        Ks = [4, 5]  # ceil(7/2), then x1.5 capped at max_K
+            solve_equal_weight(w, 6, SolverOptions(max_K=9))
+        Ks = [6, 9]  # ceil(7/2) = 4 lifted to the bound 6, then x1.5 = max_K
         assert len(attempts) == 2 * len(Ks)
-        assert max(iters for _, iters in attempts) == 40
+        assert max(iters for _, iters in attempts) == 5
         for K, gauss, quantile in zip(Ks, attempts[::2], attempts[1::2]):
             assert np.array_equal(gauss[0], _init_gauss_multiplicity(w, 6, K))
             assert np.array_equal(quantile[0], _init_quantile(w, K))
@@ -466,6 +471,26 @@ class TestFewestNodes:
         for t in range(1, 9):
             q, _ = solve_equal_weight(w, t)
             assert q.certified and _fewest_nodes(w, t) <= q.K, t
+
+    @pytest.mark.parametrize(
+        "trees,named",
+        [([(2, t) for t in range(1, 73)], {(2, 1, d) for d in range(1, 37)}), ([(6, 8), (7, 8)], {(3, 4, 4), (4, 4, 4)})],
+        ids=["S2-to-t72", "S6-S7-t8"],
+    )
+    def test_never_above_the_K_of_a_tree_rule(self, quad_cache, trees, named):
+        # a degree whose bound exceeds max_K is refused untried, so a bound above
+        # a certified K would refuse a solvable degree; every join rule of these trees
+        def joins(node, t):
+            if node.kind == "product":
+                yield (*node.split, t // 2)
+                yield from joins(node.left, t)
+                yield from joins(node.right, t)
+
+        rules = {rule for n, t in trees for rule in joins(plan(n, t).root, t)}
+        assert named <= rules
+        for m, n, d in sorted(rules):
+            q = solve_cached(m, n, d, SolverOptions(), quad_cache)
+            assert q.certified and _fewest_nodes(JacobiWeight(m, n), d) <= q.K, (m, n, d)
 
     @pytest.mark.parametrize("t,K", [(7, 14), (14, 41)])
     def test_ladder_skips_to_the_first_rung_at_or_above_the_bound(self, monkeypatch, t, K):
