@@ -31,12 +31,7 @@ from .quadrature import (
     certify,
     solve_equal_weight,
 )
-from .verify import (
-    VerificationReport,
-    verify_design,
-    verify_gegenbauer,
-    verify_monomials,
-)
+from .verify import VerificationReport, verify_design
 
 __version__ = "0.1.0"
 
@@ -67,7 +62,5 @@ __all__ = [
     "solve_equal_weight",
     "sphere_monomial_moment",
     "verify_design",
-    "verify_gegenbauer",
-    "verify_monomials",
     "__version__",
 ]

@@ -50,11 +50,11 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_json(text: str | bytes):
+def load_json(text: str | bytes, object_pairs_hook=None):
     """json.loads, with nesting deeper than the decoder's recursion limit a
     ValueError, like an integer past Python's digit limit or any malformed text."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except RecursionError:
         raise ValueError("JSON nested deeper than Python's recursion limit") from None
 

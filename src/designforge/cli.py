@@ -3,11 +3,14 @@
 Exit codes: 0 when every requested certification passed, 1 when a
 certification failed or a solve did not converge (at once, and with no
 `quadrature -o` file, when the degree's node floor, the larger of
-ceil((T+1)/2) and the Christoffel bound, exceeds --max-k), 2 with a
+ceil((T+1)/2) and the Christoffel bound, exceeds --max-k; at once, with one
+line, when a `verify` file in ambient d >= 2 has fewer points than the
+Delsarte-Goethals-Seidel bound of S^(d-1) at T), 2 with a
 one-line message for user-input errors: unreadable input files (JSON that
 Python's parser refuses too: an integer past its digit limit, nesting past
 its recursion limit), output or cache paths that cannot be written, `-o`
-and `--report-out` naming one file, invalid build plans, out-of-range
+and `--report-out` naming one file, invalid build plans (a --plan key that
+is not a plain decimal integer, or appears twice), out-of-range
 dimensions, degrees, tolerances or solver limits, a `bounds` table whose
 t^a_n has more digits than Python prints, and click's own usage errors (a
 value of the wrong type, an unknown option or command, a missing argument).
@@ -347,9 +350,9 @@ def _read_text(path: Path) -> str:
         raise InputError(f"parse error in {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
 
 
-def _parse_json(path: Path, text: str):
+def _parse_json(path: Path, text: str, object_pairs_hook=None):
     try:
-        return load_json(text)
+        return load_json(text, object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -358,17 +361,29 @@ def _parse_json(path: Path, text: str):
         raise InputError(f"parse error in {path}: {exc}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice")
+        out[key] = value
+    return out
+
+
 def _load_plan(path: Path) -> dict[int, tuple[int, int]]:
-    """Split overrides from a --plan file: {"<ambient dim>": [m, n], ...}."""
-    raw = _parse_json(path, _read_text(path))
+    """Split overrides from a --plan file: {"<ambient dim>": [m, n], ...}, each
+    dim a decimal integer written once ("06", " 6 " and "0_6" would be 6 too)."""
+    raw = _parse_json(path, _read_text(path), _unique_keys)
     if not isinstance(raw, dict):
         raise InputError(f"parse error in {path}: expected an object mapping ambient dims to [m, n]")
     overrides = {}
     for key, value in raw.items():
         try:
             dim = int(key)
+            if str(dim) != key:
+                raise ValueError
         except ValueError:
-            raise InputError(f"parse error in {path}: ambient dim {key!r} is not an integer")
+            raise InputError(f"parse error in {path}: ambient dim {key!r} is not a plain decimal integer")
         if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
             raise InputError(
                 f"parse error in {path}: split for {key!r} must be an [m, n] integer pair, "
@@ -431,6 +446,11 @@ def verify(design_file, degree, tol, fmt):
     exit 1 unless all pass.  The points are read directly, so a residual can
     differ from the build report's in its last bits."""
     design = _load_design(design_file, degree)
+    # no T-design has fewer points, and the certificate's cost grows with T whatever the count
+    if design.ambient_dim >= 2 and design.count < (bound := lower_bound(design.ambient_dim - 1, degree)):
+        click.echo(f"{design.count} points cannot form a degree-{degree} design on S^{design.ambient_dim - 1}, "
+                   f"which needs at least {bound} (Delsarte-Goethals-Seidel)", err=True)
+        sys.exit(1)
     reports = verify_design(design, degree, tol)
     if fmt == "json":
         click.echo(json.dumps([r.to_json_dict() for r in reports], indent=2))

@@ -43,19 +43,23 @@ rounding per coordinate per tree level, a relative 2^-64 each, so a monomial
 average of degree <= t differs by at most about depth * t * 2^-64 (4e-18 at
 depth 4 and t = 20), far below any tolerance in use (1e-9 by default).
 
-* `verify_monomials` reports the largest |delta_alpha|.
-* `verify_gegenbauer` reports, for k = 1..t, the pairwise sum of the ambient
-  sphere's degree-k zonal polynomial C_k (the Jacobi polynomial of weight
-  (d-1, d-1) from `jacobi`'s recurrence: Gegenbauer of parameter (d-2)/2,
-  Chebyshev for d = 2), normalized by N^2 and by C_k(1) so residuals are
-  comparable across degrees.  By the addition theorem each sum is a sum of
-  squares, so it vanishes exactly when the point set averages all degree-k
-  harmonics to zero (Delsarte, Goethals and Seidel, 1977).
-* `verify_averages` returns the monomial report of a table, then the
-  pairwise one when d >= 2; `verify_design` walks a design's points into
-  one table and certifies it so, and `build` certifies every node's table.
-  The pairwise residual is quadratic in the deviations, so on its own it
-  passes averages that are off by about the square root of its tolerance.
+`verify_averages` is the one builder of reports.  From a table it reports:
+
+* the monomial criterion, the largest |delta_alpha|;
+* from d = 2 up, the pairwise criterion: for k = 1..t, the pairwise sum of
+  the ambient sphere's degree-k zonal polynomial C_k (the Jacobi polynomial
+  of weight (d-1, d-1) from `jacobi`'s recurrence: Gegenbauer of parameter
+  (d-2)/2, Chebyshev for d = 2), normalized by N^2 and by C_k(1) so
+  residuals are comparable across degrees.  By the addition theorem each
+  sum is a sum of squares, so it vanishes exactly when the point set
+  averages all degree-k harmonics to zero (Delsarte, Goethals and Seidel,
+  1977).  It is quadratic in the deviations, so on its own it passes
+  averages that are off by about the square root of its tolerance.
+
+`verify_design` walks a design's points into one table and certifies it so,
+and `build` certifies every node's table.  `verify_monomials` and
+`verify_gegenbauer` are the two entries of `verify_design`, kept only for the
+benchmark's span wrappers.
 
 The pairwise sum is read off the table instead of the N^2 inner products.
 For unit vectors (x.y)^j = sum_{|alpha|=j} (j!/alpha!) x^alpha y^alpha, so
@@ -203,30 +207,11 @@ def product_averages(left_table, right_table, scales: np.ndarray, m: int, n: int
     return weights[degree_a, degree_b] * left_table[a] * right_table[b]
 
 
-def _moment_deviations(design, t: int) -> np.ndarray:
-    """Mean of x^alpha over the points minus its sphere moment, for every
-    |alpha| <= t in graded order (the alphas of `_exact_constants`)."""
-    return walked_averages(design.points, t) - _exact_constants(design.ambient_dim, t)[1]
-
-
 def _first_largest(values: np.ndarray) -> tuple[int, float]:
     """(index, value) of the first largest |v|, compared as doubles."""
     residuals = np.abs(values).astype(np.float64)
     i = int(np.argmax(residuals))
     return i, float(residuals[i])
-
-
-def _monomial_report(deviations: np.ndarray, dim: int, t: int, tol: float) -> VerificationReport:
-    i, worst = _first_largest(deviations)
-    return VerificationReport(
-        method="monomial", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
-        worst_monomial=_exact_constants(dim, t)[0][i],
-    )
-
-
-def verify_monomials(design, t: int, tol: float) -> VerificationReport:
-    """Max deviation of monomial averages from exact moments, degree <= t."""
-    return _monomial_report(_moment_deviations(design, t), design.ambient_dim, t, tol)
 
 
 def _read_only(values) -> np.ndarray:
@@ -276,39 +261,36 @@ def _degree_squares(deviations: np.ndarray, dim: int, t: int) -> np.ndarray:
     return np.array([np.cumsum(weighted[start:stop])[-1] for start, stop in zip(bounds, bounds[1:])])
 
 
-def _gegenbauer_report(deviations: np.ndarray, dim: int, t: int, tol: float) -> VerificationReport:
-    sums = _zonal_coefficients(dim, t) @ _degree_squares(deviations, dim, t)
-
-    worst, worst_k = 0.0, None
-    if t > 0:
-        i, worst = _first_largest(sums[1:])
-        worst_k = i + 1
-    return VerificationReport(
-        method="gegenbauer", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
-        worst_degree=worst_k,
-    )
-
-
-def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
-    """Pairwise zonal-polynomial sums, normalized by N^2 and the value at 1.
-
-    Computed from squared moment deviations (see the module docstring) in
-    O(N * C(d+t, t)) time instead of O(N^2 * t).
-    """
-    if design.ambient_dim < 2:
-        raise ValueError("pairwise criterion needs ambient dimension >= 2; use verify_monomials")
-    return _gegenbauer_report(_moment_deviations(design, t), design.ambient_dim, t, tol)
-
-
 def verify_averages(table: np.ndarray, dim: int, t: int, tol: float) -> list[VerificationReport]:
     """[monomial report, pairwise report if dim >= 2] of a table of averages in R^dim."""
-    deviations = table - _exact_constants(dim, t)[1]
-    reports = [_monomial_report(deviations, dim, t, tol)]
+    alphas, moments, _, _ = _exact_constants(dim, t)
+    deviations = table - moments
+    i, worst = _first_largest(deviations)
+    reports = [VerificationReport(
+        method="monomial", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
+        worst_monomial=alphas[i],
+    )]
     if dim >= 2:
-        reports.append(_gegenbauer_report(deviations, dim, t, tol))
+        sums = _zonal_coefficients(dim, t) @ _degree_squares(deviations, dim, t)
+        i, worst = _first_largest(sums[1:]) if t > 0 else (None, 0.0)
+        reports.append(VerificationReport(
+            method="gegenbauer", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
+            worst_degree=None if i is None else i + 1,
+        ))
     return reports
 
 
 def verify_design(design, t: int, tol: float) -> list[VerificationReport]:
     """`verify_averages` of the table walked over the design's points."""
     return verify_averages(walked_averages(design.points, t), design.ambient_dim, t, tol)
+
+
+# perfbench/spans.py times these two views by name until ROADMAP item 5's benchmark refresh
+def verify_monomials(design, t: int, tol: float) -> VerificationReport:
+    return verify_design(design, t, tol)[0]
+
+
+def verify_gegenbauer(design, t: int, tol: float) -> VerificationReport:
+    if design.ambient_dim < 2:
+        raise ValueError("pairwise criterion needs ambient dimension >= 2; use verify_design")
+    return verify_design(design, t, tol)[1]

@@ -20,12 +20,11 @@ from designforge import (
     lower_bound,
     solve_equal_weight,
     sphere_monomial_moment,
-    verify_gegenbauer,
-    verify_monomials,
 )
 from designforge.cache import QuadratureCache
 from designforge.cli import main as cli_main
 from designforge.moments import MultiIndex
+from designforge.verify import verify_gegenbauer, verify_monomials
 
 from test_verify import corrupted, rotated
 

@@ -560,9 +560,14 @@ class TestBuildCommand:
             (b'{"9": [4, 5]}', "invalid plan: ambient 9 is not in the tree"),
             (b'{"4": [1, %s]}' % LONG_INT.encode(), "parse error"),
             (DEEP.encode(), "JSON nested deeper than Python's recursion limit"),
+            # each of these used to be read as an override of ambient 4 (or 10) without a word
+            (b'{"4": [1, 3], "04": [2, 2]}', "ambient dim '04' is not a plain decimal integer"),
+            (b'{"4": [1, 3], "4": [2, 2]}', "key '4' appears twice"),
+            (b'{"1_0": [5, 5]}', "ambient dim '1_0' is not a plain decimal integer"),
+            (b'{" 4 ": [2, 2]}', "ambient dim ' 4 ' is not a plain decimal integer"),
         ],
         ids=["malformed-json", "bad-sum", "non-integer", "non-pair", "not-utf8", "ambient-2", "unreached",
-             "5000-digit-split", "100000-deep"],
+             "5000-digit-split", "100000-deep", "leading-zero", "repeated-key", "underscore", "spaces"],
     )
     def test_bad_plan_file_exits_2(self, runner, tmp_path, content, message):
         plan_file = tmp_path / "plan.json"
@@ -916,6 +921,28 @@ class TestVerifyCommand:
         # the 4-point set averages x^2 to 2/3, not 1/3
         result = runner.invoke(main, ["verify", str(s2_design_file), "-t", "2"])
         assert result.exit_code == 1
+
+    def test_fewer_points_than_the_dgs_bound_exits_1_before_certifying(self, runner, tmp_path):
+        # the certificate used to walk every monomial up to degree 1000 here and report an infinite residual
+        two = tmp_path / "two.csv"
+        two.write_text("1,0\n-1,0\n")
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", str(two), "-t", "1000", "--format", "json"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "2 points cannot form a degree-1000 design on S^1, which needs at least 1001 (Delsarte-Goethals-Seidel)"
+        ]
+        assert result.stdout == ""
+
+    def test_as_many_points_as_the_dgs_bound_are_certified(self, runner, tmp_path):
+        # the 85-gon at degree 84 has N = lower_bound(1, 84) = 85: both reports are read
+        gon = tmp_path / "gon.csv"
+        gon.write_text(_design_csv(base_s1(84)))
+        result = runner.invoke(main, ["verify", str(gon), "-t", "84"])
+        assert [line.split(",")[0] for line in result.stdout.splitlines()] == [
+            "monomial: degree 84", "gegenbauer: degree 84"
+        ]
 
     def test_both_methods_json_serializable(self, runner, s2_design_file):
         result = runner.invoke(

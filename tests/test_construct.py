@@ -23,9 +23,9 @@ from designforge import (
     product,
     solve_equal_weight,
     verify_design,
-    verify_monomials,
 )
 from designforge.construct import _default_split, _exponent
+from designforge.verify import verify_monomials
 from oracles import product_points_repeat_tile, same_bits
 
 
@@ -326,6 +326,14 @@ class TestBuild:
         design, report = build(plan(2, t), cache_obj=quad_cache)
         assert report.passed and report.max_residual <= 1e-9
         assert design.count == report.total_points and design.degree == t
+
+    @pytest.mark.parametrize("t", [82, pytest.param(83, marks=pytest.mark.xfail(
+        strict=True, raises=BuildError, reason="ROADMAP item 16"))])
+    def test_s1_certifies_at_high_degree(self, t):
+        # the exact (t+1)-gon: at t = 83 the cancelling zonal sum reads 2.6e-9 at the root
+        design, report = build(plan(1, t))
+        assert report.passed and report.max_residual <= 1e-9
+        assert design.count == t + 1 and design.degree == t
 
     def test_design_beyond_any_address_space_is_refused_before_certifying(self, monkeypatch):
         # S^200 t=2: every rule has K = 1, so the leaves' 2.4e51 points are the count

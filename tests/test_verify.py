@@ -22,10 +22,9 @@ from designforge import (
     solve_equal_weight,
     sphere_monomial_moment,
     verify_design,
-    verify_gegenbauer,
-    verify_monomials,
 )
 from designforge import construct, jacobi, verify
+from designforge.verify import verify_gegenbauer, verify_monomials
 from oracles import gegenbauer_block_sum, mc_moment_oracle, moment_deviations_direct, same_bits
 
 
@@ -108,20 +107,23 @@ class TestPairwiseAgainstBlockSum:
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_random_point_sets_agree(self, dim):
-        # verify_design, reading one table, matches the two verifiers run apart
+        # verify_design's reports, read off one table, against the per-monomial
+        # loop and the direct pairwise sum
         rng = np.random.default_rng(100 + dim)
         for t in range(9):
             pts = rng.standard_normal((20 + 3 * t, dim))
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             d = Design(ambient_dim=dim, degree=t, points=pts)
-            separate = [verify_monomials(d, t, 1e-9)]
+            reports = verify_design(d, t, 1e-9)
+            assert [r.method for r in reports] == ["monomial", "gegenbauer"][:1 + (dim >= 2)]
+            direct = moment_deviations_direct(d, t)
+            residuals = [float(abs(deviation)) for _, deviation in direct]
+            assert reports[0].max_abs_residual == max(residuals)
+            assert reports[0].worst_monomial == direct[residuals.index(max(residuals))][0]
             if dim >= 2:
-                fast = verify_gegenbauer(d, t, 1e-9)
                 slow = gegenbauer_block_sum(d, t, 1e-9)
-                assert fast.max_abs_residual == pytest.approx(slow.max_abs_residual, rel=1e-9, abs=0)
-                assert fast.worst_degree == slow.worst_degree
-                separate.append(fast)
-            assert verify_design(d, t, 1e-9) == separate
+                assert reports[1].max_abs_residual == pytest.approx(slow.max_abs_residual, rel=1e-9, abs=0)
+                assert reports[1].worst_degree == slow.worst_degree
 
     @pytest.mark.parametrize("t", [20, 32, 40])
     def test_large_polygon_passes_t_fails_t_plus_one(self, t):
@@ -196,7 +198,8 @@ class TestOneTablePerNode:
 
 def deviation_pairs(design, t):
     """(alpha, deviation) for every |alpha| <= t, in the verifier's graded order."""
-    return list(zip(verify._exact_constants(design.ambient_dim, t)[0], verify._moment_deviations(design, t)))
+    alphas, moments, _, _ = verify._exact_constants(design.ambient_dim, t)
+    return list(zip(alphas, verify.walked_averages(design.points, t) - moments))
 
 
 def random_unit_design(count, dim, t, seed):
@@ -513,7 +516,8 @@ class TestArrayReductions:
 
     @staticmethod
     def assert_same(design, t):
-        squares = verify._degree_squares(verify._moment_deviations(design, t), design.ambient_dim, t)
+        deviations = verify.walked_averages(design.points, t) - verify._exact_constants(design.ambient_dim, t)[1]
+        squares = verify._degree_squares(deviations, design.ambient_dim, t)
         assert np.array_equal(squares, loop_squares(design, t))  # exact, in long double
         reports = verify_design(design, t, 1e-9)
         got = [(reports[0].max_abs_residual, reports[0].worst_monomial)]
