@@ -17,7 +17,9 @@ value of the wrong type, an unknown option or command, a missing argument).
 One list, in the command group, maps the library's input errors to exit 2
 for every command: CacheWriteError (a cache entry that cannot be written),
 OverflowError (a weight whose mass overflows a double) and MemoryError (a
-design too large to hold; a count too long to print reads "about 10^d").
+plan whose leaves alone exceed the address space, before any solve; a
+design too large to hold, only with `build -o`, since only -o forms
+points; a count too long to print reads "about 10^d").
 Paths are checked before any solve; a cache entry that cannot be written
 shows only when a solved rule is stored, and an output write that fails
 after the build (a full disk) exits 2 too.
@@ -42,12 +44,16 @@ from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache, at
 from .construct import (
     DESIGN_TOLERANCE,
     BuildError,
+    BuildReport,
     Design,
     a_sequence,
-    build,
+    certify_build,
     certify_plan,
+    factors,
     lower_bound,
+    naming_the_count,
     plan,
+    product_rows,
     solve_cached,
 )
 from .quadrature import NoConvergenceError, SolverOptions, float_text
@@ -285,29 +291,69 @@ def quadrature(m, n, t, output, opts, cache_dir):
     sys.exit(exit_code)
 
 
-def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
+def _row_texts(points: np.ndarray, open_row: str, between: str, close_row: str, exact: bool = False) -> list[str]:
     """Each row of `points`: open_row, its `float_text` cells joined by
-    `between`, close_row; rows joined by row_sep.  One `%` fills every cell."""
-    count, dim = points.shape
-    cells = float_text(points, exact).ravel().tolist()
-    return row_sep.join([open_row + between.join(["%s"] * dim) + close_row] * count) % tuple(cells)
+    `between`, close_row."""
+    row = open_row + between.join(["%s"] * points.shape[1]) + close_row
+    return [row % tuple(cells) for cells in float_text(points, exact).tolist()]
+
+
+def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
+    """`_row_texts` of `points` joined by row_sep."""
+    return row_sep.join(_row_texts(points, open_row, between, close_row, exact))
+
+
+def _format_product_rows(left: np.ndarray, right: np.ndarray, open_row: str, between: str, close_row: str,
+                         row_sep: str, exact: bool = False) -> str:
+    """`_format_rows` of the rows `product_rows` splits in halves, in (k, i, j)
+    order, without forming them: each half is formatted once, and row
+    (k, i, j) is the text of left[k, i] followed by that of right[k, j]."""
+    (K, M, m), (N, n) = left.shape, right.shape[1:]
+    heads = _row_texts(left.reshape(-1, m), open_row, between, between, exact)
+    tails = _row_texts(right.reshape(-1, n), "", between, close_row, exact)
+    return row_sep.join(head + (row_sep + head).join(tails[k * N:(k + 1) * N])
+                        for k in range(K) for head in heads[k * M:(k + 1) * M])
 
 
 # a row of a JSON design's "points" or "points_hex", as json.dumps(indent=2) lays it out
 _JSON_ROW = ('    [\n      "', '",\n      "', '"\n    ]', ",\n")
 
 
-def _design_json(design: Design) -> str:
-    """The text of dump_json(design.to_json_dict()), formatted without the json encoder."""
+def _json_text(ambient_dim: int, degree: int, count: int, rows) -> str:
+    """The text of dump_json of a design's to_json_dict(), formatted without
+    the json encoder; `rows(*_JSON_ROW, exact=...)` lays out its points."""
     return (
-        f'{{\n  "ambient_dim": {design.ambient_dim},\n  "degree": {design.degree},\n  "count": {design.count},\n'
-        f'  "points": [\n{_format_rows(design.points, *_JSON_ROW)}\n  ],\n'
-        f'  "points_hex": [\n{_format_rows(design.points, *_JSON_ROW, exact=True)}\n  ]\n}}\n'
+        f'{{\n  "ambient_dim": {ambient_dim},\n  "degree": {degree},\n  "count": {count},\n'
+        f'  "points": [\n{rows(*_JSON_ROW)}\n  ],\n'
+        f'  "points_hex": [\n{rows(*_JSON_ROW, exact=True)}\n  ]\n}}\n'
     )
 
 
+def _csv_text(rows) -> str:
+    """A CSV design: one point per line, its 17g cells joined by ","."""
+    return rows("", ",", "", "\n") + "\n"
+
+
+def _design_json(design: Design) -> str:
+    """The text of dump_json(design.to_json_dict()), formatted without the json encoder."""
+    return _json_text(design.ambient_dim, design.degree, design.count, functools.partial(_format_rows, design.points))
+
+
 def _design_csv(design: Design) -> str:
-    return _format_rows(design.points, "", ",", "", "\n") + "\n"
+    return _csv_text(functools.partial(_format_rows, design.points))
+
+
+def _design_text(report: BuildReport, parts, fmt: str) -> str:
+    """The text of `_design_json` or `_design_csv` of the design that `form`
+    makes of `certify_build`'s parts.  A product root's rows are written
+    from its two factors by `_format_product_rows`, so its points are never formed."""
+    if isinstance(parts, Design):  # a leaf root
+        rows = functools.partial(_format_rows, parts.points)
+    else:
+        rows = functools.partial(_format_product_rows, *product_rows(*factors(parts)))
+    if fmt == "csv":
+        return _csv_text(rows)
+    return _json_text(report.sphere_dim + 1, report.degree, report.total_points, rows)
 
 
 @main.command("build", cls=_SignedArguments)
@@ -328,16 +374,18 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
     bp = _plan(n, t, plan_file)
     cache = _open_cache(cache_dir)
     try:
-        design, report = build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
+        report, parts = certify_build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
     except (BuildError, NoConvergenceError) as exc:
         click.echo(f"build failed: {exc}", err=True)
         sys.exit(1)
     if output:
-        _write("--output", output, _design_csv(design) if fmt == "csv" else _design_json(design))
+        with naming_the_count(report):
+            text = _design_text(report, parts, fmt)
+        _write("--output", output, text)
     if report_out:
         _write("--report-out", report_out, dump_json(report.to_json_dict()))
     click.echo(
-        f"S^{n} degree {t}: {design.count} points "
+        f"S^{n} degree {t}: {report.total_points} points "
         f"(lower bound {report.dgs_lower_bound}), max residual {report.max_residual:.3e}"
     )
     sys.exit(0)

@@ -19,21 +19,26 @@ min(X, Y, 2k+1).  Iterating the map from the two trivial bases -- the pair
 and R^n takes a rule whose K grows like t^max(m, n) (Kuijlaars, 1995), so
 `a_sequence` folds the join law a(m + n) = a(m) + a(n) + max(m, n) over it.
 
-`build` walks the plan once.  `certify_plan` goes bottom-up, certifying
-each node's table of monomial averages (walked over a leaf's points, read
-off the children's tables and the rule's scales for a product) and
-recording its size, K*M*N at a product; it needs rules, not product
-points, so `bounds` runs it on cached rules alone.  It returns the build
-report and `form`, which makes the root's points with `product` from the
-very leaves and rules it certified, scaled by the same `_scales_of` values.
+`build` walks the plan once per distinct subtree: the paper's split repeats
+a subtree at every even ambient dimension, and equal `PlanNode`s compare
+equal.  `certify_plan` goes bottom-up, certifying each distinct node's
+table of monomial averages (walked over a leaf's points, read off the
+children's tables and the rule's scales for a product) and recording its
+size, K*M*N at a product; it needs rules, not product points, so `bounds`
+runs it on cached rules alone.  It returns the build report and the
+certified parts: a leaf's design, or a product's (left, right, rule).
+`form` makes the points from them with `product`, scaled by the same
+`_scales_of` values; `factors` forms only the root's two factors, from
+which `product_rows` gives the halves of every root row, so `designforge
+build` writes a design without forming its points.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 
 import numpy as np
@@ -46,6 +51,15 @@ from .quadrature import Quadrature, SolverOptions, decode_floats, encode_floats,
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _NORM_TOL = 1e-12
 DESIGN_TOLERANCE = 1e-9  # default bound on every node's certificate, for `build` and `verify`
+
+
+def _check_unit_norms(smallest, largest) -> None:
+    """Raise ValueError unless every norm whose square lies between `smallest`
+    and `largest` (scalars or arrays) is within _NORM_TOL of 1."""
+    # sqrt is monotone, so |norm - 1| peaks at the smallest or the largest square
+    worst = float(np.max(np.abs(np.sqrt(np.concatenate([np.ravel(smallest), np.ravel(largest)])) - 1)))
+    if not worst <= _NORM_TOL:  # also true when a coordinate is NaN or infinite
+        raise ValueError(f"points must have unit norm within {_NORM_TOL:g}; worst |~1| = {worst:.3e}")
 
 
 @dataclass(eq=False)
@@ -73,10 +87,7 @@ class Design:
                 f"points must be a non-empty (N, {self.ambient_dim}) array, got {pts.shape}"
             )
         squares = np.einsum("ij,ij->i", pts, pts)  # in long double, with no copy of the points
-        # sqrt is monotone, so |norm - 1| peaks at the smallest or the largest square
-        worst = float(np.max(np.abs(np.sqrt([squares.min(), squares.max()]) - 1)))
-        if not worst <= _NORM_TOL:  # also true when a coordinate is NaN or infinite
-            raise ValueError(f"points must have unit norm within {_NORM_TOL:g}; worst |~1| = {worst:.3e}")
+        _check_unit_norms(squares.min(), squares.max())
         self.points = pts
 
     @property
@@ -132,6 +143,17 @@ def _scales_of(T: Quadrature) -> np.ndarray:
     return np.sqrt(np.maximum(np.column_stack([(1 - nodes) / 2, (1 + nodes) / 2]), np.longdouble(0)))
 
 
+def _check_factors(X: Design, Y: Design, T: Quadrature) -> None:
+    """Raise ValueError unless `product` and `product_rows` accept X, Y and T."""
+    m, n = T.weight.m, T.weight.n
+    if X.ambient_dim != m:
+        raise ValueError(f"first factor lives in R^{X.ambient_dim}, quadrature expects R^{m}")
+    if Y.ambient_dim != n:
+        raise ValueError(f"second factor lives in R^{Y.ambient_dim}, quadrature expects R^{n}")
+    if not T.certified:
+        raise ValueError("quadrature is not certified")
+
+
 def product(X: Design, Y: Design, T: Quadrature) -> Design:
     """Combine designs on the spheres of R^m and R^n into one on R^{m+n}.
 
@@ -147,20 +169,34 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
     product's moments with (`verify.product_averages`), so the certificate
     is that of these points.
     """
+    _check_factors(X, Y, T)
     m, n = T.weight.m, T.weight.n
-    if X.ambient_dim != m:
-        raise ValueError(f"first factor lives in R^{X.ambient_dim}, quadrature expects R^{m}")
-    if Y.ambient_dim != n:
-        raise ValueError(f"second factor lives in R^{Y.ambient_dim}, quadrature expects R^{n}")
-    if not T.certified:
-        raise ValueError("quadrature is not certified")
-
     degree = min(X.degree, Y.degree, 2 * T.degree + 1)
     scales = _scales_of(T)
     points = np.empty((T.K, X.count, Y.count, m + n), dtype=np.longdouble)
     np.multiply(scales[:, 0, None, None, None], X.points[:, None, :], out=points[..., :m])
     np.multiply(scales[:, 1, None, None, None], Y.points, out=points[..., m:])
     return Design(ambient_dim=m + n, degree=degree, points=points.reshape(-1, m + n))
+
+
+def product_rows(X: Design, Y: Design, T: Quadrature) -> tuple[np.ndarray, np.ndarray]:
+    """The halves of the rows of `product(X, Y, T)`, without forming them: row
+    (k, i, j) is left[k, i] = s_k x_i followed by right[k, j] = c_k y_j,
+    where (s_k, c_k) is row k of `_scales_of(T)`; each coordinate is the
+    same long-double product that `product` makes.
+
+    Raises ValueError as `product` does, also when a row would miss unit
+    norm by more than 1e-12: the squared norms of node k's rows lie between
+    the sum of its halves' smallest squared norms and the sum of their
+    largest.
+    """
+    _check_factors(X, Y, T)
+    scales = _scales_of(T)
+    left = scales[:, 0, None, None] * X.points
+    right = scales[:, 1, None, None] * Y.points
+    squares = [np.einsum("kij,kij->ki", half, half) for half in (left, right)]
+    _check_unit_norms(squares[0].min(1) + squares[1].min(1), squares[0].max(1) + squares[1].max(1))
+    return left, right
 
 
 def _default_split(ambient: int) -> tuple[int, int]:
@@ -337,7 +373,7 @@ def certify_plan(
     rule_for,
     design_tol: float = DESIGN_TOLERANCE,
     phase: float = 0.0,
-) -> tuple[BuildReport, Callable[[], Design]]:
+) -> tuple[BuildReport, Design | tuple]:
     """Certify every node of a plan without forming a product's points.
 
     `rule_for(m, n, degree)` returns a product node's equal-weight rule of
@@ -345,34 +381,36 @@ def certify_plan(
     of monomial averages is walked over its points, a product's is read off
     its children's tables and its rule's scales (`verify.product_averages`);
     `verify.verify_averages` reads the monomial and, from ambient 2 up, the
-    pairwise certificate off it.  Returns the build report and `form`, which
-    makes the root's design from the leaf designs and rules certified here.
+    pairwise certificate off it.  Each distinct subtree is certified, and
+    its rule asked for, once; a repeat's report is a copy under its own
+    paths.  Returns the build report and the root's certified parts, which
+    `form` makes the design from: a leaf's design, or a product's (left
+    parts, right parts, rule), where equal children are one object.
     Raises BuildError naming the first node whose certificate exceeds
     design_tol; what `rule_for` raises passes through.
     """
     t = bp.degree
+    done: dict[PlanNode, tuple[np.ndarray, BuildNodeReport, Design | tuple]] = {}
 
-    def execute(node: PlanNode, path: str) -> tuple[np.ndarray, BuildNodeReport, Callable[[], Design]]:
+    def execute(node: PlanNode, path: str) -> tuple[np.ndarray, BuildNodeReport, Design | tuple]:
+        if node in done:
+            table, report, parts = done[node]
+            return table, _repathed(report, path), parts
         product_fields = {}
         if node.kind == "product":
             m, n = node.split
             rule = rule_for(m, n, t // 2)  # first, so a missing rule ends the walk early
-            left_table, left_report, left_form = execute(node.left, path + "L")
-            right_table, right_report, right_form = execute(node.right, path + "R")
+            left_table, left_report, left_parts = execute(node.left, path + "L")
+            right_table, right_report, right_parts = execute(node.right, path + "R")
             table = _verify.product_averages(left_table, right_table, _scales_of(rule), m, n, t)
             cardinality = rule.K * left_report.cardinality * right_report.cardinality
             product_fields = dict(m=m, n=n, K=rule.K, M=left_report.cardinality, N=right_report.cardinality,
                                   quad_residual=rule.max_abs_residual, children=[left_report, right_report])
-
-            def form() -> Design:
-                return product(left_form(), right_form(), rule)
+            parts = (left_parts, right_parts, rule)
         else:
-            leaf = base_s0(t) if node.kind == "s0" else base_s1(t, phase=phase)
-            table = _verify.walked_averages(leaf.points, t)
-            cardinality = leaf.count
-
-            def form() -> Design:
-                return leaf
+            parts = base_s0(t) if node.kind == "s0" else base_s1(t, phase=phase)
+            table = _verify.walked_averages(parts.points, t)
+            cardinality = parts.count
         checks = _verify.verify_averages(table, node.ambient_dim, t, design_tol)
         residual = max(r.max_abs_residual for r in checks)
         if not all(r.passed for r in checks):
@@ -381,15 +419,67 @@ def certify_plan(
                 f"(S^{node.ambient_dim - 1}, residual {residual:.3e} > {design_tol:g})",
                 node_path=path or "root",
             )
-        return table, BuildNodeReport(path=path, ambient_dim=node.ambient_dim, kind=node.kind, cardinality=cardinality,
-                                      verify_method="+".join(r.method for r in checks), verify_residual=residual,
-                                      **product_fields), form
+        report = BuildNodeReport(path=path, ambient_dim=node.ambient_dim, kind=node.kind, cardinality=cardinality,
+                                 verify_method="+".join(r.method for r in checks), verify_residual=residual,
+                                 **product_fields)
+        done[node] = table, report, parts
+        return table, report, parts
 
-    _, root, form = execute(bp.root, "")
+    _, root, parts = execute(bp.root, "")
+    done.clear()  # `execute` refers to itself, so only a gc pass frees its cells; they must hold no design
     report = BuildReport(sphere_dim=bp.sphere_dim, degree=t, total_points=root.cardinality,
                          exponent=a_sequence(bp.sphere_dim), dgs_lower_bound=lower_bound(bp.sphere_dim, t),
                          max_residual=_max_residual(root), passed=True, root=root)
-    return report, form
+    return report, parts
+
+
+def _repathed(node: BuildNodeReport, path: str) -> BuildNodeReport:
+    """A copy of a node's report, and of its subtree's, under `path`."""
+    children = [_repathed(child, path + side) for child, side in zip(node.children, "LR")]
+    return replace(node, path=path, children=children)
+
+
+def factors(parts: tuple) -> tuple[Design, Design, Quadrature]:
+    """A product's two factor designs and its rule, from its certified parts;
+    equal children are formed once and passed as both factors."""
+    left, right, rule = parts
+    X = form(left)
+    return X, X if right is left else form(right), rule
+
+
+def form(parts: Design | tuple) -> Design:
+    """The design of certified parts (see `certify_plan`)."""
+    return parts if isinstance(parts, Design) else product(*factors(parts))
+
+
+@contextlib.contextmanager
+def naming_the_count(report: BuildReport):
+    """Re-raise a MemoryError in the block as one naming the report's point count."""
+    try:
+        yield
+    except MemoryError:
+        raise MemoryError(f"the {report.total_points} points of S^{report.sphere_dim} degree {report.degree} do not fit in memory") from None
+
+
+def certify_build(
+    bp: BuildPlan,
+    solver_opts: SolverOptions | None = None,
+    design_tol: float = DESIGN_TOLERANCE,
+    cache_obj=None,
+    phase: float = 0.0,
+) -> tuple[BuildReport, Design | tuple]:
+    """`build` without forming the points: `certify_plan` with each rule
+    solved or fetched from `cache_obj` by `solve_cached`.  Raises MemoryError
+    naming the point count before any rule is solved if the plan's leaves
+    alone rule out holding the points."""
+    fewest = _leaf_points(bp.root, bp.degree)
+    if fewest * bp.root.ambient_dim * np.dtype(np.longdouble).itemsize > sys.maxsize:
+        raise MemoryError(f"S^{bp.sphere_dim} degree {bp.degree} needs at least {_count_text(fewest)} points, which do not fit in memory")
+    solver_opts = solver_opts or SolverOptions()
+    cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
+    return certify_plan(
+        bp, lambda m, n, degree: solve_cached(m, n, degree, solver_opts, cache_obj), design_tol, phase
+    )
 
 
 def build(
@@ -399,26 +489,17 @@ def build(
     cache_obj=None,
     phase: float = 0.0,
 ) -> tuple[Design, BuildReport]:
-    """Certify a build plan with `certify_plan`, each rule solved or fetched
-    from `cache_obj` by `solve_cached`, then form its points from the
-    certified leaves and rules; no design below the root outlives the build.
-    Raises BuildError naming the offending node if any certificate exceeds
-    design_tol, and propagates NoConvergenceError from the quadrature solver.
-    Raises MemoryError naming the point count if the points cannot be held,
-    and before any rule is solved if the plan's leaves alone rule them out.
+    """Certify a build plan with `certify_build`, then form its points from
+    the certified leaves and rules; no design below the root outlives the
+    build.  Raises BuildError naming the offending node if any certificate
+    exceeds design_tol, and propagates NoConvergenceError from the
+    quadrature solver.  Raises MemoryError naming the point count if the
+    points cannot be held, and before any rule is solved if the plan's
+    leaves alone rule them out.
     """
-    fewest = _leaf_points(bp.root, bp.degree)
-    if fewest * bp.root.ambient_dim * np.dtype(np.longdouble).itemsize > sys.maxsize:
-        raise MemoryError(f"S^{bp.sphere_dim} degree {bp.degree} needs at least {_count_text(fewest)} points, which do not fit in memory")
-    solver_opts = solver_opts or SolverOptions()
-    cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
-    report, form = certify_plan(
-        bp, lambda m, n, degree: solve_cached(m, n, degree, solver_opts, cache_obj), design_tol, phase
-    )
-    try:
-        return form(), report
-    except MemoryError:
-        raise MemoryError(f"the {report.total_points} points of S^{bp.sphere_dim} degree {bp.degree} do not fit in memory") from None
+    report, parts = certify_build(bp, solver_opts, design_tol, cache_obj, phase)
+    with naming_the_count(report):
+        return form(parts), report
 
 
 def _count_text(count: int) -> str:

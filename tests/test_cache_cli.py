@@ -32,7 +32,8 @@ from designforge import (
     solve_equal_weight,
 )
 from designforge.cache import CacheWriteError, QuadratureCache, atomic_write_text, dump_json, key
-from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_rows, _load_design, main
+from designforge import construct
+from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_product_rows, _format_rows, _load_design, main
 from designforge.quadrature import encode_floats
 from oracles import per_value_text
 
@@ -467,14 +468,17 @@ def test_bad_solver_or_tolerance_option_exits_2(runner, args, message):
 
 
 class TestBuildCommand:
-    def test_design_too_large_to_hold_exits_2(self, runner, monkeypatch):
+    def test_design_too_large_to_hold_exits_2(self, runner, tmp_path, monkeypatch):
+        # only -o forms points: S^4 = S^1 x (S^1 x S^0) forms its right factor
         def product(*args):
             raise MemoryError
 
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("designforge.construct.product", product)
         assert_input_error(
-            runner.invoke(main, ["build", "2", "4"]), "the 20 points of S^2 degree 4 do not fit in memory"
+            runner.invoke(main, ["build", "4", "4", "-o", "d.json"]), "the 200 points of S^4 degree 4 do not fit in memory"
         )
+        assert not (tmp_path / "d.json").exists()
 
     def test_design_beyond_any_address_space_exits_2_without_certifying(self, runner, monkeypatch):
         def certify_plan(*args, **kwargs):
@@ -720,7 +724,7 @@ def test_write_failing_after_the_solve_exits_2(runner, tmp_path, monkeypatch, ar
 @pytest.mark.parametrize(
     "args,library_call",
     [
-        (["build", "2", "3"], "build"),
+        (["build", "2", "3"], "certify_build"),
         (["quadrature", "2", "1", "3"], "solve_cached"),
         (["verify", "d.csv", "-t", "1"], "verify_design"),
         (["bounds", "2", "3", "--cache-dir", "."], "certify_plan"),
@@ -868,6 +872,75 @@ class TestDesignWriters:
         assert result.exit_code == 0, result.output
         points = built(4, 6)[0].points.astype(np.float64)
         assert np.array_equal(_load_design(path, 6).points.astype(np.float64), points)
+
+
+@st.composite
+def split_rows(draw):
+    """The two halves of a product's rows, (K, M, m) and (K, N, n), drawn from `repetitive_tables`."""
+    K, M, N = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    halves = []
+    for count in (M, N):
+        table = draw(repetitive_tables())
+        rows = np.resize(table, (K * count, table.shape[1]))
+        halves.append(rows.reshape(K, count, -1))
+    return halves
+
+
+class TestFactoredWriter:
+    """`build -o` writes a product root's rows from its two factors, never
+    forming its points, with the bytes of the library's formed design."""
+
+    @given(split_rows())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rows_are_the_joined_halves_text(self, halves):
+        left, right = halves
+        (K, M, m), N = left.shape, right.shape[1]
+        joined = np.concatenate([np.repeat(left, N, axis=1), np.tile(right, (1, M, 1))], axis=2).reshape(K * M * N, -1)
+        for layout in (_JSON_ROW, ("", ",", "", "\n")):
+            for exact in (False, True):
+                assert _format_product_rows(left, right, *layout, exact=exact) == _format_rows(joined, *layout, exact=exact)
+
+    @pytest.mark.parametrize(
+        "n,t,extra",
+        [(1, 5, []), (4, 6, []), (5, 4, ["--plan", "plan.json"]), (7, 4, []), (4, 0, []), (4, 1, []),
+         (3, 5, ["--phase", "0.7"])],
+        ids=["leaf-root", "s4-t6", "s5-t4-plan-4-2", "s7-t4", "t0", "t1", "phase"],
+    )
+    def test_file_is_the_formed_designs_text(self, runner, tmp_path, monkeypatch, n, t, extra):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plan.json").write_text('{"6": [4, 2]}')
+        overrides = {6: (4, 2)} if "--plan" in extra else None
+        design, _ = build(plan(n, t, overrides), phase=0.7 if "--phase" in extra else 0.0)
+        for fmt, writer in (("json", _design_json), ("csv", _design_csv)):
+            result = runner.invoke(main, ["build", str(n), str(t), *extra, "--format", fmt, "-o", f"d.{fmt}"])
+            assert result.exit_code == 0, result.output
+            assert (tmp_path / f"d.{fmt}").read_text() == writer(design)
+
+    def test_build_without_output_forms_no_points(self, runner, monkeypatch):
+        def product(*args):
+            raise AssertionError("product was called")
+
+        monkeypatch.setattr(construct, "product", product)
+        result = runner.invoke(main, ["build", "5", "4"])
+        assert result.exit_code == 0
+        assert result.output == "S^5 degree 4: 800 points (lower bound 27), max residual 1.388e-17\n"
+
+    def test_moved_scale_is_refused_on_the_written_rows(self, runner, tmp_path, monkeypatch):
+        # S^2 = S^1 x S^0: the root's rows are written from the leaves, never formed;
+        # a scale 1e-9 off still certifies at 1e-9 but leaves its rows off the sphere
+        real = construct._scales_of
+
+        def moved(rule):
+            scales = real(rule).copy()
+            scales[0, 0] += 1e-9
+            return scales
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(construct, "_scales_of", moved)
+        result = runner.invoke(main, ["build", "2", "4", "-o", "d.json"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception).startswith("points must have unit norm within 1e-12")
+        assert not (tmp_path / "d.json").exists()
 
 
 class TestReportLayout:

@@ -1,4 +1,5 @@
 """Base designs, the product map, the exponent sequence, planner and builder."""
+import json
 import math
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from designforge import (
     InMemoryQuadratureCache,
     JacobiWeight,
     Quadrature,
+    SolverOptions,
     a_sequence,
     base_s0,
     base_s1,
@@ -24,7 +26,8 @@ from designforge import (
     solve_equal_weight,
     verify_design,
 )
-from designforge.construct import _default_split, _exponent
+from designforge import construct
+from designforge.construct import _default_split, _exponent, certify_plan, product_rows, solve_cached
 from designforge.verify import verify_monomials
 from oracles import product_points_repeat_tile, same_bits
 
@@ -147,6 +150,17 @@ class TestProduct:
         T = Quadrature(weight=JacobiWeight(2, 1), degree=1, nodes=np.array([0.0]))
         with pytest.raises(ValueError):
             product(base_s1(1), base_s0(1), T)
+
+    @pytest.mark.parametrize("moved", [1e-9, np.nan, np.inf, -np.inf])
+    def test_rows_off_the_sphere_are_refused_from_the_halves(self, monkeypatch, moved):
+        # the written rows are checked off each node's smallest and largest half norms
+        X, Y = base_s1(5), base_s0(5)
+        T, _ = solve_equal_weight(JacobiWeight(2, 1), 2)
+        scales = construct._scales_of(T)
+        scales[1, 0] += moved
+        monkeypatch.setattr(construct, "_scales_of", lambda rule: scales)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm within 1e-12"):
+            product_rows(X, Y, T)  # an infinite scale times a zero coordinate is NaN
 
     def test_degree_is_minimum_of_inputs(self):
         X, Y = base_s1(5), base_s0(9)
@@ -343,6 +357,34 @@ class TestBuild:
         monkeypatch.setattr("designforge.construct.certify_plan", certify_plan)
         with pytest.raises(MemoryError, match=r"^S\^200 degree 2 needs at least 2435013403100201220879672449168160867466000113598464 points"):
             build(plan(200, 2))
+
+    def test_design_too_large_to_hold_names_the_count(self, monkeypatch, quad_cache):
+        def product(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(construct, "product", product)
+        with pytest.raises(MemoryError, match=r"^the 20 points of S\^2 degree 4 do not fit in memory$"):
+            build(plan(2, 4), cache_obj=quad_cache)
+
+    def test_each_distinct_subtree_is_certified_once(self, quad_cache):
+        # S^7 = S^3 x S^3 and S^3 = S^1 x S^1: one rule per distinct join, and
+        # each repeat's report is a copy under its own paths
+        asked = []
+
+        def rule_for(m, n, degree):
+            asked.append((m, n, degree))
+            return solve_cached(m, n, degree, SolverOptions(), quad_cache)
+
+        report, (left, right, rule) = certify_plan(plan(7, 4), rule_for)
+        assert asked == [(4, 4, 2), (2, 2, 2)]
+        assert right is left and left[0] is left[1]
+
+        def paths(node):
+            return [node.path] + [p for child in node.children for p in paths(child)]
+
+        assert paths(report.root) == ["", "L", "LL", "LR", "R", "RL", "RR"]
+        first, second = (child.to_json_dict() for child in report.root.children)
+        assert second == json.loads(json.dumps(first).replace('"path": "L', '"path": "R'))
 
     def test_failed_verification_names_node(self, quad_cache):
         with pytest.raises(BuildError) as err:

@@ -176,8 +176,11 @@ class TestPairwiseAgainstBlockSum:
 
 
 class TestOneTablePerNode:
-    @pytest.mark.parametrize("n,t", [(1, 4), (2, 3), (4, 6), (6, 3)])
-    def test_build_makes_one_deviation_table_per_node(self, monkeypatch, quad_cache, n, t):
+    # one table per distinct subtree, children first: S^4 = S^1 x (S^1 x S^0)
+    # certifies its second polygon once, and S^6 = (S^1 x S^0) x (S^1 x S^1) its polygon once
+    @pytest.mark.parametrize("n,t,dims", [(1, 4, [2]), (2, 3, [2, 1, 3]), (4, 6, [2, 1, 3, 5]), (6, 3, [2, 1, 3, 4, 7])],
+                             ids=["1-4", "2-3", "4-6", "6-3"])
+    def test_build_makes_one_deviation_table_per_node(self, monkeypatch, quad_cache, n, t, dims):
         calls = []
         real = verify.verify_averages
 
@@ -185,14 +188,9 @@ class TestOneTablePerNode:
             calls.append(dim)
             return real(table, dim, degree, tol)
 
-        def tree_dims(node):
-            children = [] if node.kind != "product" else [node.left, node.right]
-            return [d for c in children for d in tree_dims(c)] + [node.ambient_dim]
-
         monkeypatch.setattr(verify, "verify_averages", counting)
-        bp = construct.plan(n, t)
-        _, report = construct.build(bp, cache_obj=quad_cache)
-        assert calls == tree_dims(bp.root)
+        _, report = construct.build(construct.plan(n, t), cache_obj=quad_cache)
+        assert calls == dims
         assert report.root.verify_method == "monomial+gegenbauer"
 
 
@@ -394,16 +392,11 @@ class TestFactoredTable:
 
     @pytest.mark.parametrize("n,t", [(5, 7), (6, 3)])
     def test_build_walks_only_leaf_points(self, monkeypatch, quad_cache, n, t):
-        # a product's table costs O(C(d+t, t) + K t^2); a walk over its points would be O(N C(d+t, t))
-        def leaf_dims(node):
-            if node.kind != "product":
-                return [node.ambient_dim]
-            return leaf_dims(node.left) + leaf_dims(node.right)
-
+        # a product's table costs O(C(d+t, t) + K t^2); a walk over its points would be O(N C(d+t, t));
+        # each distinct leaf, the polygon and the pair, is walked once
         entries = count_walks(monkeypatch)
-        bp = construct.plan(n, t)
-        design, _ = construct.build(bp, cache_obj=quad_cache)
-        assert entries == leaf_dims(bp.root)
+        design, _ = construct.build(construct.plan(n, t), cache_obj=quad_cache)
+        assert entries == [2, 1]
 
     def test_build_keeps_no_design_below_the_root(self, monkeypatch, quad_cache):
         refs = []
@@ -420,7 +413,8 @@ class TestFactoredTable:
             alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
-        assert len(refs) == 6 and not any(alive)
+        # S^5 = S^2 x S^2: the S^2 = S^1 x S^0 is formed once and passed as both factors
+        assert len(refs) == 4 and not any(alive)
 
 
 class TestExactConstants:
