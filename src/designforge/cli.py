@@ -378,6 +378,7 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
     except (BuildError, NoConvergenceError) as exc:
         click.echo(f"build failed: {exc}", err=True)
         sys.exit(1)
+    # without -o no row is formed: unit norms rest on certify_plan's leaves and rules
     if output:
         with naming_the_count(report):
             text = _design_text(report, parts, fmt)

@@ -143,17 +143,6 @@ def _scales_of(T: Quadrature) -> np.ndarray:
     return np.sqrt(np.maximum(np.column_stack([(1 - nodes) / 2, (1 + nodes) / 2]), np.longdouble(0)))
 
 
-def _check_factors(X: Design, Y: Design, T: Quadrature) -> None:
-    """Raise ValueError unless `product` and `product_rows` accept X, Y and T."""
-    m, n = T.weight.m, T.weight.n
-    if X.ambient_dim != m:
-        raise ValueError(f"first factor lives in R^{X.ambient_dim}, quadrature expects R^{m}")
-    if Y.ambient_dim != n:
-        raise ValueError(f"second factor lives in R^{Y.ambient_dim}, quadrature expects R^{n}")
-    if not T.certified:
-        raise ValueError("quadrature is not certified")
-
-
 def product(X: Design, Y: Design, T: Quadrature) -> Design:
     """Combine designs on the spheres of R^m and R^n into one on R^{m+n}.
 
@@ -165,32 +154,36 @@ def product(X: Design, Y: Design, T: Quadrature) -> Design:
     becomes a polynomial of degree <= d/2 in the node.  T must be certified:
     a hand-made rule can be marked `certified=True` by its maker.
 
-    The scales are `_scales_of(T)`, the values `certify_plan` reads the
-    product's moments with (`verify.product_averages`), so the certificate
-    is that of these points.
+    Point (k, i, j) joins the halves that `product_rows` gives, so the
+    points are those `designforge build` writes without forming them.
     """
-    _check_factors(X, Y, T)
+    left, right = product_rows(X, Y, T)
     m, n = T.weight.m, T.weight.n
-    degree = min(X.degree, Y.degree, 2 * T.degree + 1)
-    scales = _scales_of(T)
     points = np.empty((T.K, X.count, Y.count, m + n), dtype=np.longdouble)
-    np.multiply(scales[:, 0, None, None, None], X.points[:, None, :], out=points[..., :m])
-    np.multiply(scales[:, 1, None, None, None], Y.points, out=points[..., m:])
-    return Design(ambient_dim=m + n, degree=degree, points=points.reshape(-1, m + n))
+    points[..., :m] = left[:, :, None]
+    points[..., m:] = right[:, None]
+    return Design(ambient_dim=m + n, degree=min(X.degree, Y.degree, 2 * T.degree + 1), points=points.reshape(-1, m + n))
 
 
 def product_rows(X: Design, Y: Design, T: Quadrature) -> tuple[np.ndarray, np.ndarray]:
-    """The halves of the rows of `product(X, Y, T)`, without forming them: row
-    (k, i, j) is left[k, i] = s_k x_i followed by right[k, j] = c_k y_j,
-    where (s_k, c_k) is row k of `_scales_of(T)`; each coordinate is the
-    same long-double product that `product` makes.
+    """The halves of the rows of `product(X, Y, T)`: row (k, i, j) is
+    left[k, i] = s_k x_i followed by right[k, j] = c_k y_j, where (s_k, c_k)
+    is row k of `_scales_of(T)`, the values `certify_plan` reads the
+    product's moments with (`verify.product_averages`), so the certificate
+    is that of these rows.
 
-    Raises ValueError as `product` does, also when a row would miss unit
-    norm by more than 1e-12: the squared norms of node k's rows lie between
-    the sum of its halves' smallest squared norms and the sum of their
-    largest.
+    Raises ValueError unless X lives in R^m and Y in R^n for T's weight,
+    T is certified, and every row has unit norm within 1e-12: the squared
+    norms of node k's rows lie between the sum of its halves' smallest
+    squared norms and the sum of their largest.
     """
-    _check_factors(X, Y, T)
+    m, n = T.weight.m, T.weight.n
+    if X.ambient_dim != m:
+        raise ValueError(f"first factor lives in R^{X.ambient_dim}, quadrature expects R^{m}")
+    if Y.ambient_dim != n:
+        raise ValueError(f"second factor lives in R^{Y.ambient_dim}, quadrature expects R^{n}")
+    if not T.certified:
+        raise ValueError("quadrature is not certified")
     scales = _scales_of(T)
     left = scales[:, 0, None, None] * X.points
     right = scales[:, 1, None, None] * Y.points
@@ -388,6 +381,11 @@ def certify_plan(
     parts, right parts, rule), where equal children are one object.
     Raises BuildError naming the first node whose certificate exceeds
     design_tol; what `rule_for` raises passes through.
+
+    No product row is formed or norm-checked here.  Their unit norm follows
+    from the leaf `Design`s, which check theirs, and from `Quadrature`'s
+    refusal of nodes outside [-1, 1], which makes s_k^2 + c_k^2 = 1 to
+    rounding; a report written without the design rests on both.
     """
     t = bp.degree
     done: dict[PlanNode, tuple[np.ndarray, BuildNodeReport, Design | tuple]] = {}
