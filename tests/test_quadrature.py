@@ -21,8 +21,17 @@ from designforge import (
 )
 from designforge.jacobi import _coefficients, _to_dtype, gauss_rule, orthonormal_values, recurrence_coefficients
 import designforge.quadrature as quadrature_module
-from designforge.quadrature import _fewest_nodes, _init_gauss_multiplicity, _init_quantile, _levenberg_marquardt, _lm_step, decode_floats, encode_floats
-from oracles import orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
+from designforge.quadrature import (
+    _fewest_nodes,
+    _init_gauss_multiplicity,
+    _init_quantile,
+    _levenberg_marquardt,
+    _lm_step,
+    _quantile_table,
+    decode_floats,
+    encode_floats,
+)
+from oracles import levenberg_marquardt_direct, orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
 
@@ -117,6 +126,27 @@ class TestQuantileStart:
         # node k lies in the k-th of 512 equal-mass bands; scipy is a test-only oracle
         levels = betainc(n / 2, m / 2, (1 + np.cos(theta[::-1])) / 2)
         assert np.all(np.abs(512 * levels - (np.arange(512) + 0.5)) < 0.5)
+
+    def test_one_read_only_table_per_weight(self):
+        _quantile_table.cache_clear()
+        weights = [JacobiWeight(2, 1), JacobiWeight(4, 3)]
+        for w in weights:
+            for K in (1, 8, 14, 345):
+                _init_quantile(w, K)
+        info = _quantile_table.cache_info()
+        assert info.misses == len(weights) and info.hits == 3 * len(weights)
+        for w in weights:
+            cdf, edges = _quantile_table(w)
+            with pytest.raises(ValueError):
+                cdf[0] = 1.0
+            with pytest.raises(ValueError):
+                edges[0] = 1.0
+            # the cached table equals one formed afresh, bit for bit
+            width = math.pi / 2 / quadrature_module.QUANTILE_CELLS
+            phi = (np.arange(quadrature_module.QUANTILE_CELLS) + 0.5) * width
+            log_density = (w.n - 1) * np.log(np.sin(phi)) + (w.m - 1) * np.log(np.cos(phi))
+            assert same_bits(cdf, np.concatenate([[0.0], np.cumsum(np.exp(log_density - log_density.max()))]))
+            assert same_bits(edges, np.arange(quadrature_module.QUANTILE_CELLS + 1) * width)
 
 
 class TestOrthonormalPolynomials:
@@ -271,6 +301,29 @@ class TestStallRule:
         assert q.certified and q.K == 21
 
 
+class TestLeanLoop:
+    """`_levenberg_marquardt` against the loop it replaced (`levenberg_marquardt_direct`), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "m,n,t,K,start",
+        [
+            (2, 1, 5, 8, "quantile"),
+            (2, 1, 7, 14, "gauss"),
+            (2, 1, 10, 21, "gauss"),
+            (2, 1, 10, 6, "quantile"),  # no rule: ends on the stall rule
+            (4, 2, 10, 48, "quantile"),
+            (3, 3, 12, 39, "gauss"),
+        ],
+    )
+    def test_same_angles_residual_and_iterations(self, m, n, t, K, start):
+        w = JacobiWeight(m, n)
+        theta0 = _init_quantile(w, K) if start == "quantile" else _init_gauss_multiplicity(w, t, K)
+        theta, max_r, iters = _levenberg_marquardt(theta0, w, t, 1e-12)
+        ref_theta, ref_max_r, ref_iters = levenberg_marquardt_direct(theta0, w, t, 1e-12)
+        assert same_bits(theta, ref_theta)
+        assert max_r == ref_max_r and iters == ref_iters
+
+
 class TestResidualVector:
     def test_midpoint_kills_degree_one(self):
         q = Quadrature(weight=JacobiWeight(2, 2), degree=1, nodes=np.array([0.0]))
@@ -399,7 +452,7 @@ class TestSolveEqualWeight:
         with pytest.raises(ValueError):
             solve_equal_weight(JacobiWeight(2, 2), -1)
 
-    def test_two_attempts_per_K_gauss_first(self, monkeypatch):
+    def test_two_attempts_per_K_quantile_first_above_the_gauss_count(self, monkeypatch):
         attempts = []
         real = quadrature_module._levenberg_marquardt
 
@@ -417,20 +470,43 @@ class TestSolveEqualWeight:
         Ks = [6, 9]  # ceil(7/2) = 4 lifted to the bound 6, then x1.5 = max_K
         assert len(attempts) == 2 * len(Ks)
         assert max(iters for _, iters in attempts) == 5
-        for K, gauss, quantile in zip(Ks, attempts[::2], attempts[1::2]):
-            assert np.array_equal(gauss[0], _init_gauss_multiplicity(w, 6, K))
+        for K, quantile, gauss in zip(Ks, attempts[::2], attempts[1::2]):
             assert np.array_equal(quantile[0], _init_quantile(w, K))
+            assert np.array_equal(gauss[0], _init_gauss_multiplicity(w, 6, K))
         # the error carries the closest attempt's own report, with every attempt's iterations
         assert err.value.report.K == err.value.best.K
         assert err.value.report.max_abs_residual == err.value.best.max_abs_residual
         assert err.value.report.iterations == sum(iters for _, iters in attempts)
 
+    def test_gauss_start_first_at_the_gauss_count(self, monkeypatch):
+        attempts = []
+        real = quadrature_module._levenberg_marquardt
+        monkeypatch.setattr(quadrature_module, "_levenberg_marquardt", lambda theta0, *args: attempts.append(theta0) or real(theta0, *args))
+        monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 3)
+        # (2, 2) at degree 4: ceil(5/2) = 3 is also the bound, then x1.5 = max_K = 5
+        w = JacobiWeight(2, 2)
+        with pytest.raises(NoConvergenceError):
+            solve_equal_weight(w, 4, SolverOptions(max_K=5))
+        expected = [_init_gauss_multiplicity(w, 4, 3), _init_quantile(w, 3), _init_quantile(w, 5), _init_gauss_multiplicity(w, 4, 5)]
+        assert len(attempts) == len(expected)
+        for got, want in zip(attempts, expected):
+            assert np.array_equal(got, want)
+
     def test_quantile_start_made_only_when_reached(self, monkeypatch):
         made = []
-        real = quadrature_module._init_quantile
-        monkeypatch.setattr(quadrature_module, "_init_quantile", lambda *args: made.append(args) or real(*args))
-        q, _ = solve_equal_weight(JacobiWeight(2, 1), 7)
-        assert q.certified and made == []
+        real_gauss, real_quantile = quadrature_module._init_gauss_multiplicity, quadrature_module._init_quantile
+        monkeypatch.setattr(quadrature_module, "_init_gauss_multiplicity", lambda *args: made.append(("gauss", *args)) or real_gauss(*args))
+        monkeypatch.setattr(quadrature_module, "_init_quantile", lambda *args: made.append(("quantile", *args)) or real_quantile(*args))
+        # above the Gauss count the quantile start certifies, so no Gauss start is formed
+        w = JacobiWeight(2, 1)
+        q, _ = solve_equal_weight(w, 7)
+        assert q.certified and q.K == 14 and made == [("quantile", w, 14)]
+        # at the Gauss count the Gauss start certifies, so no quantile start is formed
+        for m, n, t, K in [(2, 2, 3, 2), (2, 1, 1, 1)]:
+            made.clear()
+            w = JacobiWeight(m, n)
+            q, _ = solve_equal_weight(w, t)
+            assert q.certified and q.K == K and made == [("gauss", w, t, K)], (m, n, t)
 
     def test_quantile_start_certifies_where_gauss_fails(self):
         # the four rules of a 354-rule survey that only the weight-quantile start
@@ -444,6 +520,37 @@ class TestSolveEqualWeight:
             gauss_only = Quadrature(weight=w, degree=t, nodes=np.cos(theta))
             certify(gauss_only, tol)
             assert not gauss_only.certified, (m, n, t)
+
+
+# K of every rule of these weights at degrees 1..12, as solved with the
+# Gauss start first at every rung; the start order must move none of them
+K_GRID = {
+    (2, 1): [1, 2, 3, 5, 8, 9, 14, 18, 18, 21, 32, 39],
+    (2, 2): [1, 2, 2, 5, 5, 6, 6, 12, 12, 14, 14, 17],
+    (3, 2): [1, 2, 3, 5, 8, 9, 14, 18, 27, 32, 32, 39],
+    (3, 3): [1, 2, 2, 5, 5, 9, 9, 12, 12, 21, 21, 39],
+    (4, 4): [1, 2, 2, 5, 5, 9, 9, 18, 18, 32, 32, 59],
+    (4, 3): [1, 2, 3, 5, 8, 14, 14, 18, 27, 32, 48, 59],
+    (2, 3): [1, 2, 3, 5, 8, 9, 14, 18, 27, 32, 32, 39],
+}
+
+
+class TestStartOrder:
+    """The quantile start first above the Gauss count: fewer LM iterations, the same K."""
+
+    @pytest.mark.parametrize("t,K", [(5, 8), (7, 14)])
+    def test_s2_join_rules_certify_in_few_iterations(self, t, K):
+        # the cold rules of S^2 at t = 10 and 14; from the Gauss start each took 12-13
+        q, report = solve_equal_weight(JacobiWeight(2, 1), t)
+        assert q.certified and q.K == K
+        assert report.iterations <= 6
+
+    @pytest.mark.parametrize("m,n", sorted(K_GRID))
+    def test_order_moves_no_K(self, m, n):
+        w = JacobiWeight(m, n)
+        for t, K in enumerate(K_GRID[m, n], start=1):
+            q, _ = solve_equal_weight(w, t)
+            assert q.certified and q.K == K, t
 
 
 class TestFewestNodes:
@@ -508,7 +615,7 @@ class TestFewestNodes:
         q, _ = solve_equal_weight(w, t)
         assert q.certified and q.K == K
         assert len(attempts) == 1
-        assert np.array_equal(attempts[0], _init_gauss_multiplicity(w, t, K))
+        assert np.array_equal(attempts[0], _init_quantile(w, K))
 
     def test_error_is_silent_on_the_bound_when_max_K_allows_it(self, monkeypatch):
         monkeypatch.setattr(quadrature_module, "MAX_ITERATIONS", 5)
