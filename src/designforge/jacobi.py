@@ -92,20 +92,14 @@ def orthonormal_values(
 
     out = np.zeros((max_degree + 1, 2 if with_derivative else 1, x.size), dtype=dtype)
     out[0, 0] = 1
-    # each row view is taken once and carried to the next two steps, and
-    # sqrt(b_k) P_{k-1} goes into one scratch row: at the degrees the solver
-    # runs, indexing and temporaries cost about as much as the arithmetic
-    scratch = np.empty_like(out[0])
-    prev = cur = out[0]
     for k in range(max_degree):
         nxt = out[k + 1]
-        np.multiply(shift[k], cur, out=nxt)
+        np.multiply(shift[k], out[k], out=nxt)
         if with_derivative:
-            nxt[1] += cur[0]
+            nxt[1] += out[k, 0]
         if k > 0:
-            nxt -= np.multiply(sqrt_b[k], prev, out=scratch)
+            nxt -= sqrt_b[k] * out[k - 1]
         nxt /= sqrt_b[k + 1]
-        prev, cur = cur, nxt
     if with_derivative:
         return out[:, 0], out[:, 1]
     return out[:, 0]

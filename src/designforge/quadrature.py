@@ -18,8 +18,10 @@ polynomial p up to some degree t.  No closed-form construction is known, so
      out by SPREAD; the other is the (k - 1/2)/K quantiles of the weight,
      read off a cumulative table of its density that is formed once per
      weight (`_init_quantile`).  At K = ceil((t+1)/2) the Gaussian start
-     goes first, since the rule there can be the Gauss rule itself; above
-     it the quantile start goes first, since it usually converges in fewer
+     goes first: where the Gauss weights are equal (K = 1, or K = 2 for a
+     symmetric weight) it is already the rule and certifies with no LM
+     iteration, while the quantile start takes 4-5.  Above that count the
+     quantile start goes first, since it usually converges in fewer
      iterations.  The second start is formed only if the first attempt
      fails, and K is the first rung at which either start certifies, so the
      order moves no K.  Both are numpy only.  No other start certified in
@@ -331,17 +333,17 @@ def _levenberg_marquardt(
     def evaluate(th):
         x = np.cos(th)
         p, dp = orthonormal_values(w, degree, x, with_derivative=True)
-        r = p[1:].sum(axis=1) / K  # the bits of .mean(axis=1), without its dispatch
+        r = p[1:].mean(axis=1)
         jac = dp[1:] * (-np.sin(th)) / K
-        return r, jac, math.sqrt(r.dot(r))  # the bits of np.linalg.norm(r)
+        return r, jac, np.linalg.norm(r)
 
     r, jac, norm = evaluate(theta)
     lam = 1e-3
     iterations = 0
-    best_theta, best_max = theta.copy(), float(np.abs(r).max())
+    best_theta, best_max = theta.copy(), float(np.max(np.abs(r)))
     mark, stalled = best_max, 0
     for _ in range(MAX_ITERATIONS):
-        max_r = float(np.abs(r).max())
+        max_r = float(np.max(np.abs(r)))
         if max_r < best_max:
             best_max, best_theta = max_r, theta.copy()
         if max_r <= target:
@@ -364,7 +366,7 @@ def _levenberg_marquardt(
             lam = max(lam / 3.0, 1e-14)
         else:
             lam *= 4.0
-    max_r = float(np.abs(r).max())
+    max_r = float(np.max(np.abs(r)))
     if max_r < best_max:
         best_max, best_theta = max_r, theta.copy()
     return best_theta, best_max, iterations
@@ -440,11 +442,11 @@ def solve_equal_weight(
     total_iterations = 0
     best: tuple[Quadrature, QuadratureReport] | None = None
     while True:
-        # the Gauss start goes first only at the Gauss count, where the rule can
-        # be the Gauss rule itself; above it the quantile start usually needs
-        # fewer iterations (module docstring, step 2).  Each start is made only
-        # when reached, and K is the first rung either certifies, so the order
-        # moves no K.
+        # the Gauss start goes first only at the Gauss count, where equal Gauss
+        # weights make it the rule itself; above it the quantile start usually
+        # needs fewer iterations (module docstring, step 2).  Each start is
+        # made only when reached, and K is the first rung either certifies, so
+        # the order moves no K.
         gauss = lambda: _init_gauss_multiplicity(w, t, K)
         quantile = lambda: _init_quantile(w, K)
         for start in (gauss, quantile) if K <= gauss_count else (quantile, gauss):

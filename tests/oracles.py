@@ -12,11 +12,6 @@
 * `orthonormal_values_direct` is the per-row recurrence loop that the
   stacked kernel `jacobi.orthonormal_values` replaced.  Both do the same
   arithmetic in the same order, so they must agree bit for bit.
-* `levenberg_marquardt_direct` is the solver's LM loop as it was before its
-  per-iteration overhead was cut: residuals by `.mean`, their norm by
-  `np.linalg.norm`, max|r| by `np.max`, and the per-row recurrence above.
-  The lean loop does the same arithmetic, so from the same start the two
-  must return the same angles, max|r| and iteration count.
 * `product_points_repeat_tile` forms a product's points from full copies of
   the factors, `np.repeat` of X and `np.tile` of Y, scaled one node at a
   time.  `construct.product` broadcasts the factors instead; each
@@ -49,7 +44,6 @@ import numpy as np
 from designforge import JacobiWeight, MultiIndex, VerificationReport, iter_multi_indices, jacobi_moment_ratio, sphere_monomial_moment
 from designforge.construct import _scales_of
 from designforge.jacobi import _coefficients
-import designforge.quadrature as quadrature
 
 
 def _zonal_value_at_one(k: int, dim: int) -> float:
@@ -172,54 +166,6 @@ def orthonormal_values_direct(w, max_degree, x, dtype=np.float64, with_derivativ
     if with_derivative:
         return p, dp
     return p
-
-
-def levenberg_marquardt_direct(theta, w, degree, tol):
-    """(theta, max|r|, iterations) of the LM loop from the start theta; the
-    stopping rules are read from `designforge.quadrature` at call time."""
-    target = 0.05 * tol
-    K = theta.size
-
-    def evaluate(th):
-        x = np.cos(th)
-        p, dp = orthonormal_values_direct(w, degree, x, with_derivative=True)
-        r = p[1:].mean(axis=1)
-        jac = dp[1:] * (-np.sin(th)) / K
-        return r, jac, np.linalg.norm(r)
-
-    r, jac, norm = evaluate(theta)
-    lam = 1e-3
-    iterations = 0
-    best_theta, best_max = theta.copy(), float(np.max(np.abs(r)))
-    mark, stalled = best_max, 0
-    for _ in range(quadrature.MAX_ITERATIONS):
-        max_r = float(np.max(np.abs(r)))
-        if max_r < best_max:
-            best_max, best_theta = max_r, theta.copy()
-        if max_r <= target:
-            break
-        if best_max <= (1.0 - quadrature.STALL_GAIN) * mark:
-            mark, stalled = best_max, 0
-        elif stalled >= quadrature.STALL_WINDOW:
-            break
-        stalled += 1
-        iterations += 1
-        try:
-            step = quadrature._lm_step(jac, r, lam)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        trial = theta - step
-        r_trial, jac_trial, norm_trial = evaluate(trial)
-        if norm_trial < norm:
-            theta, r, jac, norm = trial, r_trial, jac_trial, norm_trial
-            lam = max(lam / 3.0, 1e-14)
-        else:
-            lam *= 4.0
-    max_r = float(np.max(np.abs(r)))
-    if max_r < best_max:
-        best_max, best_theta = max_r, theta.copy()
-    return best_theta, best_max, iterations
 
 
 def sin_cos_integral(a: int, b: int, s, c):

@@ -31,7 +31,7 @@ from designforge.quadrature import (
     decode_floats,
     encode_floats,
 )
-from oracles import levenberg_marquardt_direct, orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
+from oracles import orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
 
@@ -299,29 +299,6 @@ class TestStallRule:
         q = Quadrature(weight=w, degree=10, nodes=np.cos(theta))
         certify(q, 1e-12)
         assert q.certified and q.K == 21
-
-
-class TestLeanLoop:
-    """`_levenberg_marquardt` against the loop it replaced (`levenberg_marquardt_direct`), bit for bit."""
-
-    @pytest.mark.parametrize(
-        "m,n,t,K,start",
-        [
-            (2, 1, 5, 8, "quantile"),
-            (2, 1, 7, 14, "gauss"),
-            (2, 1, 10, 21, "gauss"),
-            (2, 1, 10, 6, "quantile"),  # no rule: ends on the stall rule
-            (4, 2, 10, 48, "quantile"),
-            (3, 3, 12, 39, "gauss"),
-        ],
-    )
-    def test_same_angles_residual_and_iterations(self, m, n, t, K, start):
-        w = JacobiWeight(m, n)
-        theta0 = _init_quantile(w, K) if start == "quantile" else _init_gauss_multiplicity(w, t, K)
-        theta, max_r, iters = _levenberg_marquardt(theta0, w, t, 1e-12)
-        ref_theta, ref_max_r, ref_iters = levenberg_marquardt_direct(theta0, w, t, 1e-12)
-        assert same_bits(theta, ref_theta)
-        assert max_r == ref_max_r and iters == ref_iters
 
 
 class TestResidualVector:
