@@ -2,7 +2,7 @@
 
 There is one lookup path over two stores.  `InMemoryQuadratureCache` holds
 the lookup and store logic; `QuadratureCache` is a subclass that changes only
-where a rule is kept (`_read`/`_write`: a dict entry or a JSON file).  The
+where a rule is kept (`_read`/`_write`: a dict entry or a rule file).  The
 key buckets the tolerance by its decimal exponent, so re-runs at the same
 tolerance magnitude reuse solves.  A bucket can hold a rule certified at a
 looser tolerance than the one asked for, so every hit is re-certified at the
@@ -17,46 +17,16 @@ earlier versions are neither read nor deleted.
 """
 from __future__ import annotations
 
-import contextlib
-import json
 import math
-import os
 import warnings
 from pathlib import Path
 
+from .formats import atomic_write_text, load_json, rule_from_json, rule_text
 from .quadrature import Quadrature, certify
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file unique to this writer, so concurrent writers never
-    share one; it is created as open() creates a file, so the current umask applies."""
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 class CacheWriteError(Exception):
     """A certified rule could not be stored; the message names the entry."""
-
-
-def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def load_json(text: str | bytes, object_pairs_hook=None):
-    """json.loads, with nesting deeper than the decoder's recursion limit a
-    ValueError, like an integer past Python's digit limit or any malformed text."""
-    try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
-    except RecursionError:
-        raise ValueError("JSON nested deeper than Python's recursion limit") from None
 
 
 def key(m: int, n: int, t: int, tol: float) -> str:
@@ -104,22 +74,19 @@ class QuadratureCache(InMemoryQuadratureCache):
     def _read(self, k: str) -> Quadrature | None:
         path = self.quad_dir / (k + ".json")
         try:
-            data = path.read_bytes()
+            return rule_from_json(load_json(path.read_bytes()))
         except FileNotFoundError:
             return None
         except OSError as exc:
             warnings.warn(f"ignoring unreadable cache entry {path}: {exc.strerror}")
-            return None
-        try:
-            return Quadrature.from_json_dict(load_json(data))
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(f"ignoring corrupt cache entry {path}: {exc}")
-            return None
+        return None
 
     def _write(self, k: str, q: Quadrature) -> None:
         path = self.quad_dir / (k + ".json")
         try:
-            atomic_write_text(path, dump_json(q.to_json_dict()))
+            atomic_write_text(path, rule_text(q))
         except OSError as exc:
             raise CacheWriteError(f"cannot write cache entry {path}: {exc.strerror}") from exc
 

@@ -1,21 +1,20 @@
 """Command-line surface: bounds tables, quadrature solves, builds, verification.
 
-Exit codes: 0 when every requested certification passed, 1 when a
-certification failed or a solve did not converge (at once, and with no
-`quadrature -o` file, when the degree's node floor, the larger of
-ceil((T+1)/2) and the Christoffel bound, exceeds --max-k; at once, with one
-line, when a `verify` file in ambient d >= 2 has fewer points than the
-Delsarte-Goethals-Seidel bound of S^(d-1) at T), 2 with a
-one-line message for user-input errors: unreadable input files (JSON that
-Python's parser refuses too: an integer past its digit limit, nesting past
-its recursion limit), output or cache paths that cannot be written, `-o`
-and `--report-out` naming one file, invalid build plans (a --plan key that
-is not a plain decimal integer, or appears twice), out-of-range
+Every file a command writes or reads is in `formats`.  Exit codes: 0 when
+every requested certification passed, 1 when a certification failed or a
+solve did not converge (at once, and with no `quadrature -o` file, when the
+degree's node floor, the larger of ceil((T+1)/2) and the Christoffel bound,
+exceeds --max-k; at once, with one line, when a `verify` file in ambient
+d >= 2 has fewer points than the Delsarte-Goethals-Seidel bound of S^(d-1)
+at T), 2 with a one-line message for user-input errors: input files that
+are not of their format, output or cache paths that cannot be written, `-o`
+and `--report-out` naming one file, invalid build plans, out-of-range
 dimensions, degrees, tolerances or solver limits, a `bounds` table whose
 t^a_n has more digits than Python prints, and click's own usage errors (a
 value of the wrong type, an unknown option or command, a missing argument).
 One list, in the command group, maps the library's input errors to exit 2
-for every command: CacheWriteError (a cache entry that cannot be written),
+for every command: ParseError (a design or --plan file that is not of its
+format), CacheWriteError (a cache entry that cannot be written),
 OverflowError (a weight whose mass overflows a double) and MemoryError (a
 plan whose leaves alone exceed the address space, before any solve; a
 design too large to hold, only with `build -o`, since only -o forms
@@ -23,14 +22,11 @@ points; a count too long to print reads "about 10^d").
 Paths are checked before any solve; a cache entry that cannot be written
 shows only when a solved rule is stored, and an output write that fails
 after the build (a full disk) exits 2 too.
-Output files contain no timestamps or environment data, so identical
-commands with identical cache state produce byte-identical files.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import os
 import stat
@@ -38,13 +34,11 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache, atomic_write_text, dump_json, load_json
+from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache
 from .construct import (
     DESIGN_TOLERANCE,
     BuildError,
-    BuildReport,
     Design,
     a_sequence,
     certify_build,
@@ -56,7 +50,8 @@ from .construct import (
     product_rows,
     solve_cached,
 )
-from .quadrature import NoConvergenceError, SolverOptions, float_text
+from .formats import ParseError, atomic_write_text, design_text, dump_json, read_design, read_plan, report_text, rule_text
+from .quadrature import NoConvergenceError, SolverOptions
 from .verify import verify_design
 
 class InputError(click.ClickException):
@@ -163,15 +158,16 @@ _HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
 @contextlib.contextmanager
 def _one_line_usage_errors():
     """Click's usage errors, and the library errors that a command's arguments
-    alone can cause, as one InputError line: a cache entry that cannot be
-    written, a weight whose mass overflows a double, a design too large to hold."""
+    alone can cause, as one InputError line: an input file not of its format,
+    a cache entry that cannot be written, a weight whose mass overflows a
+    double, a design too large to hold."""
     try:
         yield
     except _HELP:
         raise
     except click.UsageError as exc:
         raise InputError(exc.format_message()) from None
-    except (CacheWriteError, OverflowError, MemoryError) as exc:
+    except (CacheWriteError, ParseError, OverflowError, MemoryError) as exc:
         message = str(exc) or f"{type(exc).__name__}: the arguments ask for more than this machine holds"
         raise InputError(message) from None
 
@@ -253,7 +249,7 @@ def bounds(n, t_max, fmt, cache_dir):
     rows = [{"t": t, "lower_bound": lower_bound(n, t), "t_pow_exponent": t**exponent, "achieved": achieved(t)}
             for t in range(1, t_max + 1)]
     if fmt == "json":
-        click.echo(json.dumps({"n": n, "exponent": exponent, "rows": rows}, indent=2))
+        click.echo(dump_json({"n": n, "exponent": exponent, "rows": rows}), nl=False)
         return
     click.echo(f"sphere S^{n}, growth exponent a_n = {exponent}")
     header = f"{'t':>4}  {'lower_bound':>12}  {'t^a_n':>14}  {'achieved':>10}"
@@ -283,77 +279,12 @@ def quadrature(m, n, t, output, opts, cache_dir):
             sys.exit(1)
         q, exit_code = exc.best, 1
     if output:
-        _write("--output", output, dump_json(q.to_json_dict()))
+        _write("--output", output, rule_text(q))
     click.echo(
         f"weight (m={m}, n={n}) degree {t}: K={q.K}, "
         f"max residual {q.max_abs_residual:.3e}, certified={q.certified}"
     )
     sys.exit(exit_code)
-
-
-def _row_texts(points: np.ndarray, open_row: str, between: str, close_row: str, exact: bool = False) -> list[str]:
-    """Each row of `points`: open_row, its `float_text` cells joined by
-    `between`, close_row."""
-    row = open_row + between.join(["%s"] * points.shape[1]) + close_row
-    return [row % tuple(cells) for cells in float_text(points, exact).tolist()]
-
-
-def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
-    """`_row_texts` of `points` joined by row_sep."""
-    return row_sep.join(_row_texts(points, open_row, between, close_row, exact))
-
-
-def _format_product_rows(left: np.ndarray, right: np.ndarray, open_row: str, between: str, close_row: str,
-                         row_sep: str, exact: bool = False) -> str:
-    """`_format_rows` of the rows `product_rows` splits in halves, in (k, i, j)
-    order, without forming them: each half is formatted once, and row
-    (k, i, j) is the text of left[k, i] followed by that of right[k, j]."""
-    (K, M, m), (N, n) = left.shape, right.shape[1:]
-    heads = _row_texts(left.reshape(-1, m), open_row, between, between, exact)
-    tails = _row_texts(right.reshape(-1, n), "", between, close_row, exact)
-    return row_sep.join(head + (row_sep + head).join(tails[k * N:(k + 1) * N])
-                        for k in range(K) for head in heads[k * M:(k + 1) * M])
-
-
-# a row of a JSON design's "points" or "points_hex", as json.dumps(indent=2) lays it out
-_JSON_ROW = ('    [\n      "', '",\n      "', '"\n    ]', ",\n")
-
-
-def _json_text(ambient_dim: int, degree: int, count: int, rows) -> str:
-    """The text of dump_json of a design's to_json_dict(), formatted without
-    the json encoder; `rows(*_JSON_ROW, exact=...)` lays out its points."""
-    return (
-        f'{{\n  "ambient_dim": {ambient_dim},\n  "degree": {degree},\n  "count": {count},\n'
-        f'  "points": [\n{rows(*_JSON_ROW)}\n  ],\n'
-        f'  "points_hex": [\n{rows(*_JSON_ROW, exact=True)}\n  ]\n}}\n'
-    )
-
-
-def _csv_text(rows) -> str:
-    """A CSV design: one point per line, its 17g cells joined by ","."""
-    return rows("", ",", "", "\n") + "\n"
-
-
-def _design_json(design: Design) -> str:
-    """The text of dump_json(design.to_json_dict()), formatted without the json encoder."""
-    return _json_text(design.ambient_dim, design.degree, design.count, functools.partial(_format_rows, design.points))
-
-
-def _design_csv(design: Design) -> str:
-    return _csv_text(functools.partial(_format_rows, design.points))
-
-
-def _design_text(report: BuildReport, parts, fmt: str) -> str:
-    """The text of `_design_json` or `_design_csv` of the design that `form`
-    makes of `certify_build`'s parts.  A product root's rows are written
-    from its two factors by `_format_product_rows`, so its points are never formed."""
-    if isinstance(parts, Design):  # a leaf root
-        rows = functools.partial(_format_rows, parts.points)
-    else:
-        rows = functools.partial(_format_product_rows, *product_rows(*factors(parts)))
-    if fmt == "csv":
-        return _csv_text(rows)
-    return _json_text(report.sphere_dim + 1, report.degree, report.total_points, rows)
 
 
 @main.command("build", cls=_SignedArguments)
@@ -371,7 +302,10 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
     """Plan, build, and verify a degree-T design on S^N."""
     if output and report_out and _same_file(output, report_out):
         raise InputError(f"--output {output} and --report-out {report_out} name the same file")
-    bp = _plan(n, t, plan_file)
+    try:
+        bp = plan(n, t, read_plan(plan_file) if plan_file else None)
+    except ValueError as exc:
+        raise InputError(f"invalid plan: {exc}")
     cache = _open_cache(cache_dir)
     try:
         report, parts = certify_build(bp, solver_opts=opts, design_tol=tol_design, cache_obj=cache, phase=phase)
@@ -380,109 +314,17 @@ def build_cmd(n, t, output, report_out, fmt, opts, tol_design, phase, plan_file,
         sys.exit(1)
     # without -o no row is formed: unit norms rest on certify_plan's leaves and rules
     if output:
-        with naming_the_count(report):
-            text = _design_text(report, parts, fmt)
+        with naming_the_count(report):  # a product root's rows are written from its factors, never formed
+            rows = parts.points if isinstance(parts, Design) else product_rows(*factors(parts))
+            text = design_text(rows, report.degree, fmt)
         _write("--output", output, text)
     if report_out:
-        _write("--report-out", report_out, dump_json(report.to_json_dict()))
+        _write("--report-out", report_out, report_text(report))
     click.echo(
         f"S^{n} degree {t}: {report.total_points} points "
         f"(lower bound {report.dgs_lower_bound}), max residual {report.max_residual:.3e}"
     )
     sys.exit(0)
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"parse error in {path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
-
-
-def _parse_json(path: Path, text: str, object_pairs_hook=None):
-    try:
-        return load_json(text, object_pairs_hook)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
-    except ValueError as exc:  # an integer past Python's digit limit, nesting past the recursion limit
-        raise InputError(f"parse error in {path}: {exc}")
-
-
-def _unique_keys(pairs: list) -> dict:
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"key {key!r} appears twice")
-        out[key] = value
-    return out
-
-
-def _load_plan(path: Path) -> dict[int, tuple[int, int]]:
-    """Split overrides from a --plan file: {"<ambient dim>": [m, n], ...}, each
-    dim a decimal integer written once ("06", " 6 " and "0_6" would be 6 too)."""
-    raw = _parse_json(path, _read_text(path), _unique_keys)
-    if not isinstance(raw, dict):
-        raise InputError(f"parse error in {path}: expected an object mapping ambient dims to [m, n]")
-    overrides = {}
-    for key, value in raw.items():
-        try:
-            dim = int(key)
-            if str(dim) != key:
-                raise ValueError
-        except ValueError:
-            raise InputError(f"parse error in {path}: ambient dim {key!r} is not a plain decimal integer")
-        if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
-            raise InputError(
-                f"parse error in {path}: split for {key!r} must be an [m, n] integer pair, "
-                f"got {json.dumps(value)}"
-            )
-        overrides[dim] = (value[0], value[1])
-    return overrides
-
-
-def _plan(n: int, t: int, plan_file: Path | None):
-    """The build plan of S^n at degree t, with the --plan file's overrides."""
-    overrides = _load_plan(plan_file) if plan_file else None
-    try:
-        return plan(n, t, overrides)
-    except ValueError as exc:
-        raise InputError(f"invalid plan: {exc}")
-
-
-def _load_design(path: Path, t: int) -> Design:
-    text = _read_text(path)
-    if not text.strip():
-        raise InputError(f"parse error in {path}: file is empty")
-    if text.lstrip().startswith(("{", "[")):
-        data = _parse_json(path, text)
-        if not isinstance(data, dict):
-            raise InputError(f"parse error in {path}: a JSON design must be an object, got {type(data).__name__}")
-        try:
-            return Design.from_json_dict(data)
-        except KeyError as exc:
-            raise InputError(f"parse error in {path}: missing field {exc}")
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"parse error in {path}: {exc}")
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError as exc:
-            raise InputError(f"parse error in {path} at line {lineno}: {exc}")
-        if len(rows[-1]) != len(rows[0]):
-            raise InputError(
-                f"parse error in {path} at line {lineno}: {len(rows[-1])} values, expected {len(rows[0])}"
-            )
-    if not rows:
-        raise InputError(f"parse error in {path}: no data rows")
-    try:
-        return Design(ambient_dim=len(rows[0]), degree=t, points=np.array(rows))
-    except ValueError as exc:
-        raise InputError(f"parse error in {path}: {exc}")
 
 
 @main.command()
@@ -494,7 +336,7 @@ def verify(design_file, degree, tol, fmt):
     """Certify a point file at degree T with the certificates `build` applies;
     exit 1 unless all pass.  The points are read directly, so a residual can
     differ from the build report's in its last bits."""
-    design = _load_design(design_file, degree)
+    design = read_design(design_file, degree)
     # no T-design has fewer points, and the certificate's cost grows with T whatever the count
     if design.ambient_dim >= 2 and design.count < (bound := lower_bound(design.ambient_dim - 1, degree)):
         click.echo(f"{design.count} points cannot form a degree-{degree} design on S^{design.ambient_dim - 1}, "
@@ -502,7 +344,7 @@ def verify(design_file, degree, tol, fmt):
         sys.exit(1)
     reports = verify_design(design, degree, tol)
     if fmt == "json":
-        click.echo(json.dumps([r.to_json_dict() for r in reports], indent=2))
+        click.echo(dump_json([r.to_json_dict() for r in reports]), nl=False)
     else:
         for r in reports:
             click.echo(

@@ -35,7 +35,6 @@ build` writes a design without forming its points.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -45,8 +44,9 @@ import numpy as np
 
 from . import verify as _verify
 from .cache import InMemoryQuadratureCache
+from .formats import design_from_json, design_text, load_json
 from .moments import JacobiWeight
-from .quadrature import Quadrature, SolverOptions, decode_floats, encode_floats, solve_equal_weight
+from .quadrature import Quadrature, SolverOptions, solve_equal_weight
 
 _PI = np.longdouble("3.14159265358979323846264338327950288")
 _NORM_TOL = 1e-12
@@ -94,23 +94,13 @@ class Design:
     def count(self) -> int:
         return int(self.points.shape[0])
 
+    # perfbench/spans.py times this view of the design file by name until ROADMAP item 5's benchmark refresh
     def to_json_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "degree": self.degree,
-            "count": self.count,
-            **encode_floats("points", self.points),
-        }
+        return load_json(design_text(self.points, self.degree))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
-        for name in ("ambient_dim", "degree", "count"):
-            if type(data[name]) is not int:  # also rejects a bool, which is an int to Python
-                raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
-        design = cls(ambient_dim=data["ambient_dim"], degree=data["degree"], points=decode_floats(data, "points"))
-        if design.count != data["count"]:
-            raise ValueError(f"point count {design.count} does not match recorded count={data['count']}")
-        return design
+        return design_from_json(data)
 
 
 def base_s0(t: int) -> Design:

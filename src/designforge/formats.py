@@ -1,0 +1,282 @@
+"""Every file designforge writes or reads, each type with one writer and one reader:
+design JSON and CSV (`design_text`, `read_design`), the build report
+(`report_text`; nothing reads one back yet), rule files of the cache and of
+`quadrature -o` (`rule_text`, `rule_from_json`) and --plan files (written by
+hand, `read_plan`).  `float_text` writes every double, in "%.17g" text, which
+round-trips it, or in float.hex text; a JSON file carries each float field
+in both, the hex under field + "_hex", which readers take when present.
+JSON is laid out as json.dumps(indent=2) lays it out, plus a newline.  No
+file carries a timestamp or environment data, and `atomic_write_text` writes
+each one whole or not at all.
+"""
+from __future__ import annotations
+
+import contextlib
+import functools
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+
+from .moments import JacobiWeight
+
+# numpy makes no array of more dimensions (NPY_MAXDIMS: 64 since numpy 2, 32 before)
+_MAX_NESTING = 64
+
+
+class ParseError(Exception):
+    """A design or --plan file that is not of its format; its one line names the file."""
+
+
+def _shown(value) -> str:  # a JSON value in a message: a list, an object or a string by its kind
+    return {list: "a list", dict: "an object", str: "a string"}.get(type(value)) or json.dumps(value)
+
+
+def _each(fn, values: list, depth: int = 1) -> list:
+    if not isinstance(values, list):  # a string would map over its characters
+        raise TypeError(f"expected a list of numbers, got {_shown(values)}")
+    if values and isinstance(values[0], list):
+        if depth == _MAX_NESTING:  # refused before the recursion can run out of stack
+            raise ValueError(f"lists nested more than {_MAX_NESTING} deep")
+        return [_each(fn, v, depth + 1) for v in values]
+    return list(map(fn, values))
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):  # float reads true as 1
+        raise TypeError(f"expected a number, got {_shown(value)}")
+    return float(value)
+
+
+def float_text(values, exact: bool = False) -> np.ndarray:
+    """`values` as float64, each cell "%.17g" text (round-trips a double) or, if
+    exact, float.hex text, in an object array of their shape.  Each distinct
+    bit pattern is formatted once, so -0.0 and 0.0 stay apart."""
+    floats = np.asarray(values).astype(np.float64)
+    bits, cells = np.unique(floats.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    text = np.array(list(map(float.hex, distinct)) if exact else ["%.17g" % v for v in distinct], dtype=object)
+    return text[cells].reshape(floats.shape)
+
+
+def encode_floats(field: str, values) -> dict:
+    """`values` in 17g text under `field` and in hex under field + "_hex"; both lists nest like the array."""
+    return {field: float_text(values).tolist(), field + "_hex": float_text(values, exact=True).tolist()}
+
+
+def decode_floats(data: dict, field: str) -> np.ndarray:
+    """The float64 array `encode_floats` wrote, from the hex when present.  A
+    fault is a TypeError or ValueError; in a table it names the row."""
+    exact = field + "_hex" in data
+    name, fn = (field + "_hex", float.fromhex) if exact else (field, _number)
+    values = data[name]
+    if not isinstance(values, (list, str)):  # `_each` refuses a string
+        raise TypeError(f"{name}: expected a list of numbers, got {_shown(values)}")
+    if not (values and isinstance(values[0], list)):
+        return np.array(_each(fn, values), dtype=np.float64)
+    rows = []
+    for i, row in enumerate(values):
+        try:
+            rows.append(_each(fn, row, depth=2))
+            if len(row) != len(values[0]):
+                raise ValueError(f"{len(row)} values, expected {len(values[0])}")
+        except (TypeError, ValueError) as exc:
+            if isinstance(row, str):  # its message names no row, as it always has
+                raise
+            raise type(exc)(f"{name}[{i}]: {exc}") from None
+    return np.array(rows, dtype=np.float64)
+
+
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def load_json(text: str | bytes, object_pairs_hook=None):
+    """json.loads, with nesting past the decoder's recursion limit a ValueError, like any malformed text."""
+    try:
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
+    except RecursionError:
+        raise ValueError("JSON nested deeper than Python's recursion limit") from None
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write via a temp file unique to this writer, so concurrent writers never
+    share one; it is created as open() creates a file, so the current umask applies."""
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _row_texts(points: np.ndarray, open_row: str, between: str, close_row: str, exact: bool = False) -> list[str]:
+    """Each row of `points`: open_row, its `float_text` cells joined by `between`, close_row."""
+    row = open_row + between.join(["%s"] * points.shape[1]) + close_row
+    return [row % tuple(cells) for cells in float_text(points, exact).tolist()]
+
+
+def _format_rows(points: np.ndarray, open_row: str, between: str, close_row: str, row_sep: str, exact: bool = False) -> str:
+    """`_row_texts` of `points` joined by row_sep."""
+    return row_sep.join(_row_texts(points, open_row, between, close_row, exact))
+
+
+def _format_product_rows(left: np.ndarray, right: np.ndarray, open_row: str, between: str, close_row: str,
+                         row_sep: str, exact: bool = False) -> str:
+    """`_format_rows` of the rows `product_rows` splits in halves, in (k, i, j)
+    order, without forming them: each half is formatted once, and row
+    (k, i, j) is the text of left[k, i] followed by that of right[k, j]."""
+    (K, M, m), (N, n) = left.shape, right.shape[1:]
+    heads = _row_texts(left.reshape(-1, m), open_row, between, between, exact)
+    tails = _row_texts(right.reshape(-1, n), "", between, close_row, exact)
+    return row_sep.join(head + (row_sep + head).join(tails[k * N:(k + 1) * N])
+                        for k in range(K) for head in heads[k * M:(k + 1) * M])
+
+
+# a row of a JSON design's "points" or "points_hex", as json.dumps(indent=2) lays it out
+_JSON_ROW = ('    [\n      "', '",\n      "', '"\n    ]', ",\n")
+
+
+def design_text(rows, degree: int, fmt: str = "json") -> str:
+    """A design file: JSON {ambient_dim, degree, count, points, points_hex},
+    each point a list of strings, or CSV, a line of 17g cells joined by ","
+    per point.  `rows` is a design's points, or the two halves of a product's
+    rows that `construct.product_rows` gives, so that none is formed."""
+    if isinstance(rows, tuple):
+        (K, M, m), (N, n) = rows[0].shape, rows[1].shape[1:]
+        lay_out, count, ambient_dim = functools.partial(_format_product_rows, *rows), K * M * N, m + n
+    else:
+        lay_out, (count, ambient_dim) = functools.partial(_format_rows, rows), rows.shape
+    if fmt == "csv":
+        return lay_out("", ",", "", "\n") + "\n"
+    return (
+        f'{{\n  "ambient_dim": {ambient_dim},\n  "degree": {degree},\n  "count": {count},\n'
+        f'  "points": [\n{lay_out(*_JSON_ROW)}\n  ],\n'
+        f'  "points_hex": [\n{lay_out(*_JSON_ROW, exact=True)}\n  ]\n}}\n'
+    )
+
+
+def report_text(report) -> str:
+    return dump_json(report.to_json_dict())
+
+
+def rule_text(q) -> str:
+    """A rule file; its residual and certificate are for readers of `quadrature -o`, never read back."""
+    return dump_json({
+        "m": q.weight.m,
+        "n": q.weight.n,
+        "degree": q.degree,
+        "K": q.K,
+        **encode_floats("nodes", q.nodes),
+        "max_abs_residual": float(q.max_abs_residual),
+        "certified": bool(q.certified),
+    })
+
+
+def _integers(data: dict, *names: str) -> None:
+    for name in names:
+        if type(data[name]) is not int:  # also rejects a bool, which is an int to Python
+            raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
+
+
+def rule_from_json(data: dict):
+    """The rule of a rule file's object, uncertified until `certify` runs."""
+    from .quadrature import Quadrature  # which imports this module
+
+    _integers(data, "m", "n", "degree", "K")
+    q = Quadrature(
+        weight=JacobiWeight(data["m"], data["n"]),
+        degree=data["degree"],
+        nodes=decode_floats(data, "nodes"),
+    )
+    if q.K != data["K"]:
+        raise ValueError(f"node count {q.K} does not match recorded K={data['K']}")
+    return q
+
+
+def design_from_json(data: dict):
+    """The design of a JSON design file's object."""
+    from .construct import Design  # which imports this module
+
+    _integers(data, "ambient_dim", "degree", "count")
+    design = Design(ambient_dim=data["ambient_dim"], degree=data["degree"], points=decode_floats(data, "points"))
+    if design.count != data["count"]:
+        raise ValueError(f"point count {design.count} does not match recorded count={data['count']}")
+    return design
+
+
+@contextlib.contextmanager
+def _parsing(path: Path):
+    """The block's faults in reading `path` as one ParseError line naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"parse error in {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except KeyError as exc:
+        raise ParseError(f"parse error in {path}: missing field {exc}") from None
+    except (ValueError, TypeError) as exc:  # also an integer past Python's digit limit, nesting past its recursion limit
+        raise ParseError(f"parse error in {path}: {exc}") from None
+
+
+def read_design(path: Path, degree: int):
+    """The design in a JSON or CSV design file; a CSV design is claimed to be of `degree`."""
+    from .construct import Design  # which imports this module
+
+    with _parsing(path):
+        text = path.read_text()
+        if not text.strip():
+            raise ValueError("file is empty")
+        if text.lstrip().startswith(("{", "[")):
+            if not isinstance(data := load_json(text), dict):
+                raise ValueError(f"a JSON design must be an object, got {type(data).__name__}")
+            return design_from_json(data)
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append([float(v) for v in line.split(",")])
+                if len(rows[-1]) != len(rows[0]):
+                    raise ValueError(f"{len(rows[-1])} values, expected {len(rows[0])}")
+            except ValueError as exc:
+                raise ParseError(f"parse error in {path} at line {lineno}: {exc}") from None
+        if not rows:
+            raise ValueError("no data rows")
+        return Design(ambient_dim=len(rows[0]), degree=degree, points=np.array(rows))
+
+
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice")
+        out[key] = value
+    return out
+
+
+def read_plan(path: Path) -> dict[int, tuple[int, int]]:
+    """Split overrides from a --plan file: {"<ambient dim>": [m, n], ...}, each
+    dim a decimal integer written once ("06", " 6 " and "0_6" would be 6 too)."""
+    with _parsing(path):
+        raw = load_json(path.read_text(), _unique_keys)
+        if not isinstance(raw, dict):
+            raise ValueError("expected an object mapping ambient dims to [m, n]")
+        overrides = {}
+        for key, value in raw.items():
+            try:
+                dim = int(key)
+                if str(dim) != key:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"ambient dim {key!r} is not a plain decimal integer") from None
+            if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+                raise ValueError(f"split for {key!r} must be an [m, n] integer pair, got {json.dumps(value)}")
+            overrides[dim] = (value[0], value[1])
+        return overrides

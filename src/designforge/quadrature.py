@@ -48,13 +48,13 @@ Certification re-evaluates the residuals in extended precision.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from .formats import load_json, rule_from_json, rule_text
 from .jacobi import gauss_rule, orthonormal_values
 from .moments import JacobiWeight
 
@@ -69,43 +69,6 @@ MAX_ITERATIONS = 300
 SPREAD = 0.05
 # Equal cells of [0, pi/2] in the quantile start's table of the weight.
 QUANTILE_CELLS = 2048
-
-
-# numpy makes no array of more dimensions (NPY_MAXDIMS: 64 since numpy 2, 32 before)
-_MAX_NESTING = 64
-
-
-def _each(fn, values: list, depth: int = 1) -> list:
-    if isinstance(values, str):  # would map over its characters
-        raise TypeError("expected a list of numbers, got a string")
-    if values and isinstance(values[0], list):
-        if depth == _MAX_NESTING:  # refused before the recursion can run out of stack
-            raise ValueError(f"lists nested more than {_MAX_NESTING} deep")
-        return [_each(fn, v, depth + 1) for v in values]
-    return list(map(fn, values))
-
-
-def float_text(values, exact: bool = False) -> np.ndarray:
-    """`values` as float64, each cell "%.17g" text (round-trips a double) or, if
-    exact, float.hex text, in an object array of their shape.  Each distinct
-    bit pattern is formatted once, so -0.0 and 0.0 stay apart."""
-    floats = np.asarray(values).astype(np.float64)
-    bits, cells = np.unique(floats.view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    text = np.array(list(map(float.hex, distinct)) if exact else ["%.17g" % v for v in distinct], dtype=object)
-    return text[cells].reshape(floats.shape)
-
-
-def encode_floats(field: str, values) -> dict:
-    """`values` in 17g text under `field` and in hex under field + "_hex"; both lists nest like the array."""
-    return {field: float_text(values).tolist(), field + "_hex": float_text(values, exact=True).tolist()}
-
-
-def decode_floats(data: dict, field: str) -> np.ndarray:
-    """The float64 array `encode_floats` wrote; the hex is read when present."""
-    if field + "_hex" in data:
-        return np.array(_each(float.fromhex, data[field + "_hex"]), dtype=np.float64)
-    return np.array(_each(float, data[field]), dtype=np.float64)
 
 
 @dataclass
@@ -154,31 +117,12 @@ class Quadrature:
     def K(self) -> int:
         return int(self.nodes.size)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.weight.m,
-            "n": self.weight.n,
-            "degree": self.degree,
-            "K": self.K,
-            **encode_floats("nodes", self.nodes),
-            "max_abs_residual": float(self.max_abs_residual),
-            "certified": bool(self.certified),
-        }
+    def to_json_dict(self) -> dict:  # a view of the rule file `formats.rule_text` writes
+        return load_json(rule_text(self))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Quadrature":
-        """The file's rule, uncertified until `certify` runs: its flag and residual are not read."""
-        for name in ("m", "n", "degree", "K"):
-            if type(data[name]) is not int:  # also rejects a bool, which is an int to Python
-                raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
-        q = cls(
-            weight=JacobiWeight(data["m"], data["n"]),
-            degree=data["degree"],
-            nodes=decode_floats(data, "nodes"),
-        )
-        if q.K != data["K"]:
-            raise ValueError(f"node count {q.K} does not match recorded K={data['K']}")
-        return q
+    def from_json_dict(cls, data: dict) -> "Quadrature":  # uncertified until `certify` runs
+        return rule_from_json(data)
 
 
 @dataclass

@@ -33,10 +33,10 @@ s_k = sqrt((1-t_k)/2) and c_k = sqrt((1+t_k)/2), so each average factors:
     avg(u^a v^b) = T_{|a|,|b|} avg_X(u^a) avg_Y(v^b),   T_{i,j} = (1/K) sum_k s_k^i c_k^j.
 
 `product_averages` forms that table in O(C(d+t, t) + K t^2) from the
-factors' tables, and `construct.build` reads each product node's table off
-its children's this way, so only the leaves are walked; `verify_averages`
-certifies a table, whichever way it was made.  `verify_design` always walks
-the points it is given.  The certificate of a product node in `build` thus
+factors' tables, and `construct.certify_plan` reads each product node's
+table off its children's this way, so only the leaves are walked;
+`verify_averages` certifies a table, whichever way it was made, and
+`verify_design` always walks the points it is given.  The certificate of a product node in `build` thus
 covers the multiset defined by its factors' points and the long-double
 scales s_k, c_k.  The stored points differ from that multiset by one
 rounding per coordinate per tree level, a relative 2^-64 each, so a monomial

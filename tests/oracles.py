@@ -25,7 +25,7 @@
   incomplete Beta function of half-integer parameters, so it checks the
   quantile start, which reads its levels off a table of the weight instead.
 * `per_value_text` formats every value on its own, by "{:.17g}".format or
-  float.hex.  `quadrature.float_text` formats each distinct bit pattern once
+  float.hex.  `formats.float_text` formats each distinct bit pattern once
   and must give the same text.
 * `power_moment` is the normalized moment of t^d against a Jacobi weight,
   expanded exactly from `jacobi_moment_ratio` by the binomial theorem; the

@@ -31,10 +31,12 @@ from designforge import (
     plan,
     solve_equal_weight,
 )
-from designforge.cache import CacheWriteError, QuadratureCache, atomic_write_text, dump_json, key
+from designforge.cache import CacheWriteError, QuadratureCache, key
 from designforge import construct
-from designforge.cli import _JSON_ROW, _design_csv, _design_json, _format_product_rows, _format_rows, _load_design, main
-from designforge.quadrature import encode_floats
+from designforge.cli import main
+from designforge.formats import (
+    _JSON_ROW, _format_product_rows, _format_rows, atomic_write_text, design_text, dump_json, encode_floats, read_design,
+)
 from oracles import per_value_text
 
 
@@ -98,6 +100,14 @@ class TestQuadratureCache:
         path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
         path.write_text("{ not json")
         with pytest.warns(UserWarning, match="corrupt"):
+            assert cache.lookup(2, 2, 2, 1e-12) is None
+
+    def test_ragged_nodes_entry_ignored_with_warning_naming_the_row(self, tmp_path):
+        # the warning once carried numpy's "inhomogeneous shape" text
+        cache = QuadratureCache(tmp_path)
+        path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
+        path.write_text('{"m": 2, "n": 2, "degree": 2, "K": 2, "nodes_hex": [["0x1p-1"], ["-0x1p-1", "0x0p+0"]]}')
+        with pytest.warns(UserWarning, match=r"ignoring corrupt cache entry .*: nodes_hex\[1\]: 2 values, expected 1$"):
             assert cache.lookup(2, 2, 2, 1e-12) is None
 
     @pytest.mark.parametrize("nodes", [None, nested(900, '"0x0p+0"')], ids=["whole-file", "nodes"])
@@ -617,6 +627,7 @@ class TestBuildCommand:
         design_file = tmp_path / "d.json"
         report_file = tmp_path / "r.json"
         csv_file = tmp_path / "d.csv"
+        rule_file = tmp_path / "q.json"
         assert (
             runner.invoke(
                 main,
@@ -628,14 +639,14 @@ class TestBuildCommand:
             runner.invoke(main, ["build", "2", "2", "-o", str(csv_file), "--format", "csv"]).exit_code
             == 0
         )
-        for path in (design_file, report_file):
+        assert runner.invoke(main, ["quadrature", "2", "1", "2", "-o", str(rule_file)]).exit_code == 0
+        for path in (design_file, report_file, rule_file):
             text = path.read_text()
             assert dump_json(json.loads(text)) == text
-        design_text = design_file.read_text()
-        reparsed = _load_design(design_file, 2)
-        assert dump_json(reparsed.to_json_dict()) == design_text
-        csv_text = csv_file.read_text()
-        assert _design_csv(_load_design(csv_file, 2)) == csv_text
+        reparsed = read_design(design_file, 2)
+        assert dump_json(reparsed.to_json_dict()) == design_file.read_text()
+        reparsed = read_design(csv_file, 2)
+        assert design_text(reparsed.points, reparsed.degree, "csv") == csv_file.read_text()
 
     def test_determinism_byte_identical(self, runner, tmp_path):
         out_a, cache_a = tmp_path / "a.json", tmp_path / "cache_a"
@@ -848,10 +859,12 @@ class TestDesignWriters:
             assert encode_floats("x", values) == {"x": per_value_text(values), "x_hex": per_value_text(values, exact=True)}
 
     def test_json_is_dump_json_text(self, design):
-        assert _design_json(design) == dump_json(design.to_json_dict())
+        text = design_text(design.points, design.degree)
+        assert dump_json(json.loads(text)) == text
+        assert design.to_json_dict() == json.loads(text)
 
     def test_csv_is_per_value_text(self, design):
-        assert _design_csv(design) == per_value_csv(design)
+        assert design_text(design.points, design.degree, "csv") == per_value_csv(design)
 
     def test_percent_17g_is_format_17g(self):
         rng = np.random.default_rng(15)
@@ -871,7 +884,7 @@ class TestDesignWriters:
         result = runner.invoke(main, ["verify", str(path), "-t", "6"])
         assert result.exit_code == 0, result.output
         points = built(4, 6)[0].points.astype(np.float64)
-        assert np.array_equal(_load_design(path, 6).points.astype(np.float64), points)
+        assert np.array_equal(read_design(path, 6).points.astype(np.float64), points)
 
 
 @st.composite
@@ -911,10 +924,10 @@ class TestFactoredWriter:
         (tmp_path / "plan.json").write_text('{"6": [4, 2]}')
         overrides = {6: (4, 2)} if "--plan" in extra else None
         design, _ = build(plan(n, t, overrides), phase=0.7 if "--phase" in extra else 0.0)
-        for fmt, writer in (("json", _design_json), ("csv", _design_csv)):
+        for fmt in ("json", "csv"):
             result = runner.invoke(main, ["build", str(n), str(t), *extra, "--format", fmt, "-o", f"d.{fmt}"])
             assert result.exit_code == 0, result.output
-            assert (tmp_path / f"d.{fmt}").read_text() == writer(design)
+            assert (tmp_path / f"d.{fmt}").read_text() == design_text(design.points, design.degree, fmt)
 
     def test_build_without_output_forms_no_points(self, runner, monkeypatch):
         def product(*args):
@@ -1011,7 +1024,7 @@ class TestVerifyCommand:
     def test_as_many_points_as_the_dgs_bound_are_certified(self, runner, tmp_path):
         # the 85-gon at degree 84 has N = lower_bound(1, 84) = 85: both reports are read
         gon = tmp_path / "gon.csv"
-        gon.write_text(_design_csv(base_s1(84)))
+        gon.write_text(design_text(base_s1(84).points, 84, "csv"))
         result = runner.invoke(main, ["verify", str(gon), "-t", "84"])
         assert [line.split(",")[0] for line in result.stdout.splitlines()] == [
             "monomial: degree 84", "gegenbauer: degree 84"
@@ -1111,8 +1124,20 @@ class TestVerifyCommand:
             ({"ambient_dim": 2.7}, "ambient_dim must be an integer, got 2.7"),
             ({"degree": "1"}, 'degree must be an integer, got "1"'),
             ({"count": True}, "count must be an integer, got true"),
+            # each of these used to print numpy's or Python's own text
+            ({"points": [["1", "0"], ["-1"]]}, "points[1]: 1 values, expected 2"),
+            ({"points": 5}, "points: expected a list of numbers, got 5"),
+            ({"points": {"a": 1}}, "points: expected a list of numbers, got an object"),
+            ({"points_hex": None}, "points_hex: expected a list of numbers, got null"),
+            ({"points": [[1, 0], [[1], 0]]}, "points[1]: expected a list of numbers, got 0"),
+            ({"points": [[1, 0], [-1, [0]]]}, "points[1]: expected a number, got a list"),
+            ({"points": [[1, 0], 5]}, "points[1]: expected a list of numbers, got 5"),
+            # read as 1.0 without a word, though the header fields refuse a bool
+            ({"points": [[True, 0], [-1, 0]]}, "points[0]: expected a number, got true"),
         ],
-        ids=["string-row", "string-points", "string-hex", "float-dim", "string-degree", "bool-count"],
+        ids=["string-row", "string-points", "string-hex", "float-dim", "string-degree", "bool-count", "ragged-rows",
+             "number-points", "object-points", "null-hex", "list-then-number", "number-then-list", "number-row",
+             "bool-coordinate"],
     )
     def test_json_field_of_wrong_type_is_parse_error(self, runner, tmp_path, fields, message):
         bad = tmp_path / "d.json"

@@ -28,9 +28,8 @@ from designforge.quadrature import (
     _levenberg_marquardt,
     _lm_step,
     _quantile_table,
-    decode_floats,
-    encode_floats,
 )
+from designforge.formats import decode_floats, encode_floats
 from oracles import orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
