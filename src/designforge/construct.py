@@ -44,7 +44,7 @@ import numpy as np
 
 from . import verify as _verify
 from .cache import InMemoryQuadratureCache
-from .formats import design_from_json, design_text, load_json
+from .formats import design_text, load_json
 from .moments import JacobiWeight
 from .quadrature import Quadrature, SolverOptions, solve_equal_weight
 
@@ -97,10 +97,6 @@ class Design:
     # perfbench/spans.py times this view of the design file by name until ROADMAP item 5's benchmark refresh
     def to_json_dict(self) -> dict:
         return load_json(design_text(self.points, self.degree))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Design":
-        return design_from_json(data)
 
 
 def base_s0(t: int) -> Design:

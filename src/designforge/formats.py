@@ -5,6 +5,9 @@ design JSON and CSV (`design_text`, `read_design`), the build report
 hand, `read_plan`).  `float_text` writes every double, in "%.17g" text, which
 round-trips it, or in float.hex text; a JSON file carries each float field
 in both, the hex under field + "_hex", which readers take when present.
+`decode_floats` reads a field in one of two shapes, picked by the file
+type's reader: a rule's nodes are a flat list and a design's points a list
+of rows of equal length; a fault names the field, and in a table the row.
 JSON is laid out as json.dumps(indent=2) lays it out, plus a newline.  No
 file carries a timestamp or environment data, and `atomic_write_text` writes
 each one whole or not at all.
@@ -20,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .moments import JacobiWeight
-
-# numpy makes no array of more dimensions (NPY_MAXDIMS: 64 since numpy 2, 32 before)
-_MAX_NESTING = 64
+from .quadrature import Quadrature
 
 
 class ParseError(Exception):
@@ -33,19 +34,9 @@ def _shown(value) -> str:  # a JSON value in a message: a list, an object or a s
     return {list: "a list", dict: "an object", str: "a string"}.get(type(value)) or json.dumps(value)
 
 
-def _each(fn, values: list, depth: int = 1) -> list:
-    if not isinstance(values, list):  # a string would map over its characters
-        raise TypeError(f"expected a list of numbers, got {_shown(values)}")
-    if values and isinstance(values[0], list):
-        if depth == _MAX_NESTING:  # refused before the recursion can run out of stack
-            raise ValueError(f"lists nested more than {_MAX_NESTING} deep")
-        return [_each(fn, v, depth + 1) for v in values]
-    return list(map(fn, values))
-
-
 def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):  # float reads true as 1
-        raise TypeError(f"expected a number, got {_shown(value)}")
+    if isinstance(value, bool):  # float reads true as 1
+        raise TypeError
     return float(value)
 
 
@@ -65,27 +56,41 @@ def encode_floats(field: str, values) -> dict:
     return {field: float_text(values).tolist(), field + "_hex": float_text(values, exact=True).tolist()}
 
 
-def decode_floats(data: dict, field: str) -> np.ndarray:
-    """The float64 array `encode_floats` wrote, from the hex when present.  A
-    fault is a TypeError or ValueError; in a table it names the row."""
+def _listed(values, place: str) -> list:
+    if not isinstance(values, list):  # a string would map over its characters
+        raise ValueError(f"{place}: expected a list of numbers, got {_shown(values)}")
+    return values
+
+
+def _floats(values, place: str, exact: bool) -> list[float]:
+    """The JSON list `values` at `place`, by one map of float.fromhex if exact
+    or of `_number`.  A fault is a ValueError naming the place; the first cell
+    of the wrong type is looked for only once the map has failed."""
+    cells = _listed(values, place)
+    try:
+        return list(map(float.fromhex if exact else _number, cells))
+    except TypeError:
+        bad = next(v for v in cells if isinstance(v, bool) or not isinstance(v, str if exact else (str, int, float)))
+        got = "a list nested inside" if isinstance(bad, list) else _shown(bad)
+        raise ValueError(f"{place}: expected {'a hex string' if exact else 'a number'}, got {got}") from None
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past a double's range
+        raise ValueError(f"{place}: {exc}") from None
+
+
+def decode_floats(data: dict, field: str, rows: bool = False) -> np.ndarray:
+    """The float64 array `encode_floats` wrote, from the hex when present: a
+    flat list, or if `rows` a list of rows of equal length.  A fault is a
+    ValueError naming the field, and in a table the row."""
     exact = field + "_hex" in data
-    name, fn = (field + "_hex", float.fromhex) if exact else (field, _number)
-    values = data[name]
-    if not isinstance(values, (list, str)):  # `_each` refuses a string
-        raise TypeError(f"{name}: expected a list of numbers, got {_shown(values)}")
-    if not (values and isinstance(values[0], list)):
-        return np.array(_each(fn, values), dtype=np.float64)
-    rows = []
-    for i, row in enumerate(values):
-        try:
-            rows.append(_each(fn, row, depth=2))
-            if len(row) != len(values[0]):
-                raise ValueError(f"{len(row)} values, expected {len(values[0])}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(row, str):  # its message names no row, as it always has
-                raise
-            raise type(exc)(f"{name}[{i}]: {exc}") from None
-    return np.array(rows, dtype=np.float64)
+    name = field + "_hex" if exact else field
+    if not rows:
+        return np.array(_floats(data[name], name, exact), dtype=np.float64)
+    table = []
+    for i, row in enumerate(_listed(data[name], name)):
+        table.append(_floats(row, f"{name}[{i}]", exact))
+        if len(row) != len(table[0]):
+            raise ValueError(f"{name}[{i}]: {len(row)} values, expected {len(table[0])}")
+    return np.array(table, dtype=np.float64)
 
 
 def dump_json(obj) -> str:
@@ -184,10 +189,8 @@ def _integers(data: dict, *names: str) -> None:
             raise TypeError(f"{name} must be an integer, got {json.dumps(data[name])}")
 
 
-def rule_from_json(data: dict):
+def rule_from_json(data: dict) -> Quadrature:
     """The rule of a rule file's object, uncertified until `certify` runs."""
-    from .quadrature import Quadrature  # which imports this module
-
     _integers(data, "m", "n", "degree", "K")
     q = Quadrature(
         weight=JacobiWeight(data["m"], data["n"]),
@@ -204,7 +207,8 @@ def design_from_json(data: dict):
     from .construct import Design  # which imports this module
 
     _integers(data, "ambient_dim", "degree", "count")
-    design = Design(ambient_dim=data["ambient_dim"], degree=data["degree"], points=decode_floats(data, "points"))
+    points = decode_floats(data, "points", rows=True)
+    design = Design(ambient_dim=data["ambient_dim"], degree=data["degree"], points=points)
     if design.count != data["count"]:
         raise ValueError(f"point count {design.count} does not match recorded count={data['count']}")
     return design

@@ -54,7 +54,6 @@ from functools import cache
 
 import numpy as np
 
-from .formats import load_json, rule_from_json, rule_text
 from .jacobi import gauss_rule, orthonormal_values
 from .moments import JacobiWeight
 
@@ -116,13 +115,6 @@ class Quadrature:
     @property
     def K(self) -> int:
         return int(self.nodes.size)
-
-    def to_json_dict(self) -> dict:  # a view of the rule file `formats.rule_text` writes
-        return load_json(rule_text(self))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Quadrature":  # uncertified until `certify` runs
-        return rule_from_json(data)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from designforge import construct
 from designforge.cli import main
 from designforge.formats import (
     _JSON_ROW, _format_product_rows, _format_rows, atomic_write_text, design_text, dump_json, encode_floats, read_design,
+    rule_from_json, rule_text,
 )
 from oracles import per_value_text
 
@@ -103,11 +104,31 @@ class TestQuadratureCache:
             assert cache.lookup(2, 2, 2, 1e-12) is None
 
     def test_ragged_nodes_entry_ignored_with_warning_naming_the_row(self, tmp_path):
-        # the warning once carried numpy's "inhomogeneous shape" text
+        # a rule's nodes are one flat list, so the fault is its first cell that is a list,
+        # not row 1's width; numpy's "inhomogeneous shape" text once stood here
         cache = QuadratureCache(tmp_path)
         path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
         path.write_text('{"m": 2, "n": 2, "degree": 2, "K": 2, "nodes_hex": [["0x1p-1"], ["-0x1p-1", "0x0p+0"]]}')
-        with pytest.warns(UserWarning, match=r"ignoring corrupt cache entry .*: nodes_hex\[1\]: 2 values, expected 1$"):
+        with pytest.warns(UserWarning, match=r"ignoring corrupt cache entry .*: nodes_hex: expected a hex string, "
+                                             r"got a list nested inside$"):
+            assert cache.lookup(2, 2, 2, 1e-12) is None
+
+    @pytest.mark.parametrize(
+        "nodes,message",
+        [
+            # each once carried float.fromhex's "bad argument type for built-in operation"
+            ('"nodes_hex": ["0x1p-1", 5]', "nodes_hex: expected a hex string, got 5"),
+            ('"nodes_hex": [true]', "nodes_hex: expected a hex string, got true"),
+            # float()'s OverflowError once escaped the cache as a traceback
+            (f'"nodes": [1{"0" * 400}]', "nodes: int too large to convert to float"),
+        ],
+        ids=["number-in-hex", "bool-in-hex", "integer-past-a-double"],
+    )
+    def test_bad_cell_ignored_with_warning_naming_the_field(self, tmp_path, nodes, message):
+        cache = QuadratureCache(tmp_path)
+        path = cache.quad_dir / (key(2, 2, 2, 1e-12) + ".json")
+        path.write_text(f'{{"m": 2, "n": 2, "degree": 2, "K": 2, {nodes}}}')
+        with pytest.warns(UserWarning, match=rf"ignoring corrupt cache entry .*: {re.escape(message)}$"):
             assert cache.lookup(2, 2, 2, 1e-12) is None
 
     @pytest.mark.parametrize("nodes", [None, nested(900, '"0x0p+0"')], ids=["whole-file", "nodes"])
@@ -382,7 +403,24 @@ def test_cache_entry_nested_past_the_recursion_limit_is_ignored_with_warning(run
         f"ignoring corrupt cache entry {entry}: JSON nested deeper than Python's recursion limit"
     }
     if args[0] == "build":  # re-solved and stored over the corrupt entry
-        assert Quadrature.from_json_dict(json.loads(entry.read_text())).weight == JacobiWeight(2, 1)
+        assert rule_from_json(json.loads(entry.read_text())).weight == JacobiWeight(2, 1)
+
+
+def test_column_shaped_cache_entry_is_ignored_with_warning_and_stored_over(runner, tmp_path):
+    # nodes_hex as K one-cell rows was once read as a (K, 1) rule, which failed
+    # re-certification and was a miss without a word
+    rule = solve_equal_weight(JacobiWeight(2, 1), 1)[0]
+    entry = tmp_path / "quadratures" / (key(2, 1, 1, 1e-12) + ".json")
+    entry.parent.mkdir()
+    data = json.loads(rule_text(rule))
+    entry.write_text(dump_json({**data, **{name: [[v] for v in data[name]] for name in ("nodes", "nodes_hex")}}))
+    with pytest.warns(UserWarning) as warned:
+        result = runner.invoke(main, ["build", "2", "3", "--cache-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert {str(w.message) for w in warned} == {
+        f"ignoring corrupt cache entry {entry}: nodes_hex: expected a hex string, got a list nested inside"
+    }
+    assert entry.read_text() == rule_text(rule)
 
 
 class TestQuadratureCommand:
@@ -1118,9 +1156,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "fields,message",
         [
-            ({"points": [[1, 0], "01"]}, "expected a list of numbers, got a string"),
-            ({"ambient_dim": 1, "count": 1, "points": "1"}, "expected a list of numbers, got a string"),
-            ({"points_hex": "0x1p+0"}, "expected a list of numbers, got a string"),
+            ({"points": [[1, 0], "01"]}, "points[1]: expected a list of numbers, got a string"),
+            ({"ambient_dim": 1, "count": 1, "points": "1"}, "points: expected a list of numbers, got a string"),
+            ({"points_hex": "0x1p+0"}, "points_hex: expected a list of numbers, got a string"),
             ({"ambient_dim": 2.7}, "ambient_dim must be an integer, got 2.7"),
             ({"degree": "1"}, 'degree must be an integer, got "1"'),
             ({"count": True}, "count must be an integer, got true"),
@@ -1129,15 +1167,19 @@ class TestVerifyCommand:
             ({"points": 5}, "points: expected a list of numbers, got 5"),
             ({"points": {"a": 1}}, "points: expected a list of numbers, got an object"),
             ({"points_hex": None}, "points_hex: expected a list of numbers, got null"),
-            ({"points": [[1, 0], [[1], 0]]}, "points[1]: expected a list of numbers, got 0"),
+            ({"points": [[1, 0], [[1], 0]]}, "points[1]: expected a number, got a list nested inside"),
             ({"points": [[1, 0], [-1, [0]]]}, "points[1]: expected a number, got a list"),
             ({"points": [[1, 0], 5]}, "points[1]: expected a list of numbers, got 5"),
             # read as 1.0 without a word, though the header fields refuse a bool
             ({"points": [[True, 0], [-1, 0]]}, "points[0]: expected a number, got true"),
+            # float.fromhex's own text: "bad argument type for built-in operation"
+            ({"points_hex": [["0x1p+0", "0x0p+0"], ["-0x1p+0", 5]]}, "points_hex[1]: expected a hex string, got 5"),
+            # float()'s OverflowError, once one line naming neither the file nor the row
+            ({"points": [[1, 0], [10**400, 0]]}, "points[1]: int too large to convert to float"),
         ],
         ids=["string-row", "string-points", "string-hex", "float-dim", "string-degree", "bool-count", "ragged-rows",
              "number-points", "object-points", "null-hex", "list-then-number", "number-then-list", "number-row",
-             "bool-coordinate"],
+             "bool-coordinate", "number-in-hex-row", "integer-past-a-double"],
     )
     def test_json_field_of_wrong_type_is_parse_error(self, runner, tmp_path, fields, message):
         bad = tmp_path / "d.json"
@@ -1146,11 +1188,11 @@ class TestVerifyCommand:
         assert_input_error(result, f"d.json: {message}")
 
     def test_points_nested_three_deep_are_parse_error(self, runner, tmp_path):
-        # np.atleast_2d keeps the shape (1, 2, 1), whose first two sizes pass the shape check
+        # once read as shape (1, 2, 1) and refused by Design's shape check; points are rows of numbers
         bad = tmp_path / "d.json"
         bad.write_text(json.dumps({"ambient_dim": 2, "degree": 1, "count": 1, "points": [[[1], [0]]]}))
         result = runner.invoke(main, ["verify", str(bad), "-t", "1"])
-        assert_input_error(result, "d.json: points must be a non-empty (N, 2) array, got (1, 2, 1)")
+        assert_input_error(result, "d.json: points[0]: expected a number, got a list nested inside")
 
     @pytest.mark.parametrize("text", ["[]", ' [[1.0, 0.0], [-1.0, 0.0]]\n'])
     def test_json_array_is_not_read_as_csv(self, runner, tmp_path, text):

@@ -1,4 +1,5 @@
 """Gaussian initializers, residual evaluation, and the equal-weight solver."""
+import json
 import math
 
 import mpmath as mp
@@ -29,7 +30,7 @@ from designforge.quadrature import (
     _lm_step,
     _quantile_table,
 )
-from designforge.formats import decode_floats, encode_floats
+from designforge.formats import decode_floats, encode_floats, rule_from_json, rule_text
 from oracles import orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
@@ -298,6 +299,13 @@ class TestStallRule:
         q = Quadrature(weight=w, degree=10, nodes=np.cos(theta))
         certify(q, 1e-12)
         assert q.certified and q.K == 21
+
+    @pytest.mark.parametrize("m,n,t,K", [(4, 1, 14, 315), (1, 4, 14, 315), (1, 2, 6, 9)])
+    def test_solves_one_iteration_inside_the_window_still_certify(self, m, n, t, K):
+        # at K each quantile start fails and the Gauss start certifies; that of (4, 1)
+        # and (1, 4) at degree 14 goes STALL_WINDOW - 1 iterations without a STALL_GAIN gain
+        q, _ = solve_equal_weight(JacobiWeight(m, n), t)
+        assert q.certified and q.K <= K
 
 
 class TestResidualVector:
@@ -619,21 +627,21 @@ class TestQuadratureType:
 
     def test_json_round_trip_bit_exact(self):
         q, _ = solve_equal_weight(JacobiWeight(2, 3), 3)
-        data = q.to_json_dict()
-        back = Quadrature.from_json_dict(data)
+        text = rule_text(q)
+        back = rule_from_json(json.loads(text))
         assert np.array_equal(back.nodes, q.nodes)
         assert back.certified is False  # the file's certificate is not read
         certify(back, q.tolerance)
-        assert back.to_json_dict() == data
+        assert rule_text(back) == text
 
     def test_rule_read_from_json_is_uncertified(self):
         # a forged file: one node moved by 1e-3, "certified": true left in place
-        data = solve_equal_weight(JacobiWeight(2, 1), 3)[0].to_json_dict()
+        data = json.loads(rule_text(solve_equal_weight(JacobiWeight(2, 1), 3)[0]))
         nodes = decode_floats(data, "nodes")
         nodes[0] += 1e-3
         data.update(encode_floats("nodes", nodes))
         assert data["certified"] is True
-        forged = Quadrature.from_json_dict(data)
+        forged = rule_from_json(data)
         assert forged.certified is False
         with pytest.raises(ValueError, match="quadrature is not certified"):
             product(base_s1(7), base_s0(7), forged)
@@ -641,23 +649,18 @@ class TestQuadratureType:
 
     @pytest.mark.parametrize("depth", [65, 5000])
     def test_nodes_nested_past_any_array_are_a_value_error(self, depth):
-        # the decoder once recursed once per level, into a RecursionError at about 1000
+        # the decoder once recursed once per level, into a RecursionError at about 1000;
+        # a rule's nodes are a flat list, so any list inside it is refused without a walk
         nodes = ["0x0p+0"]
         for _ in range(depth - 1):
             nodes = [nodes]
-        with pytest.raises(ValueError, match="lists nested more than 64 deep"):
+        with pytest.raises(ValueError, match=r"^nodes_hex: expected a hex string, got a list nested inside$"):
             decode_floats({"nodes_hex": nodes}, "nodes")
-
-    def test_nodes_nested_as_deep_as_an_array_goes_decode(self):
-        nodes = ["0x0p+0"]
-        for _ in range(63):
-            nodes = [nodes]
-        assert decode_floats({"nodes_hex": nodes}, "nodes").ndim == 64
 
     @pytest.mark.parametrize("field", ["m", "n", "degree", "K"])
     @pytest.mark.parametrize("value", [float("inf"), 2.0, True, "2"])
     def test_json_counts_must_be_integers(self, field, value):
-        data = solve_equal_weight(JacobiWeight(2, 1), 1)[0].to_json_dict()
+        data = json.loads(rule_text(solve_equal_weight(JacobiWeight(2, 1), 1)[0]))
         data[field] = value
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
-            Quadrature.from_json_dict(data)
+            rule_from_json(data)
