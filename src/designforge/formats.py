@@ -8,9 +8,10 @@ in both, the hex under field + "_hex", which readers take when present.
 `decode_floats` reads a field in one of two shapes, picked by the file
 type's reader: a rule's nodes are a flat list and a design's points a list
 of rows of equal length; a fault names the field, and in a table the row.
-JSON is laid out as json.dumps(indent=2) lays it out, plus a newline.  No
-file carries a timestamp or environment data, and `atomic_write_text` writes
-each one whole or not at all.
+JSON is laid out as json.dumps(indent=2) lays it out, plus a newline; design
+and rule files are written from a template of that layout, not by the
+encoder.  No file carries a timestamp or environment data, and
+`atomic_write_text` writes each one whole or not at all.
 """
 from __future__ import annotations
 
@@ -51,11 +52,6 @@ def float_text(values, exact: bool = False) -> np.ndarray:
     return text[cells].reshape(floats.shape)
 
 
-def encode_floats(field: str, values) -> dict:
-    """`values` in 17g text under `field` and in hex under field + "_hex"; both lists nest like the array."""
-    return {field: float_text(values).tolist(), field + "_hex": float_text(values, exact=True).tolist()}
-
-
 def _listed(values, place: str) -> list:
     if not isinstance(values, list):  # a string would map over its characters
         raise ValueError(f"{place}: expected a list of numbers, got {_shown(values)}")
@@ -78,9 +74,10 @@ def _floats(values, place: str, exact: bool) -> list[float]:
 
 
 def decode_floats(data: dict, field: str, rows: bool = False) -> np.ndarray:
-    """The float64 array `encode_floats` wrote, from the hex when present: a
-    flat list, or if `rows` a list of rows of equal length.  A fault is a
-    ValueError naming the field, and in a table the row."""
+    """The float64 array written in `float_text`'s two texts under `field` and
+    field + "_hex", read from the hex when present: a flat list, or if `rows`
+    a list of rows of equal length.  A fault is a ValueError naming the
+    field, and in a table the row."""
     exact = field + "_hex" in data
     name = field + "_hex" if exact else field
     if not rows:
@@ -170,17 +167,18 @@ def report_text(report) -> str:
     return dump_json(report.to_json_dict())
 
 
+# a rule's "nodes" or "nodes_hex", as json.dumps(indent=2) lays it out; a rule has at least one node
+_JSON_NODES = '[\n    "%s"\n  ]'
+
+
 def rule_text(q) -> str:
     """A rule file; its residual and certificate are for readers of `quadrature -o`, never read back."""
-    return dump_json({
-        "m": q.weight.m,
-        "n": q.weight.n,
-        "degree": q.degree,
-        "K": q.K,
-        **encode_floats("nodes", q.nodes),
-        "max_abs_residual": float(q.max_abs_residual),
-        "certified": bool(q.certified),
-    })
+    nodes, nodes_hex = ('",\n    "'.join(float_text(q.nodes, exact).tolist()) for exact in (False, True))
+    return (
+        f'{{\n  "m": {q.weight.m},\n  "n": {q.weight.n},\n  "degree": {q.degree},\n  "K": {q.K},\n'
+        f'  "nodes": {_JSON_NODES % nodes},\n  "nodes_hex": {_JSON_NODES % nodes_hex},\n'
+        f'  "max_abs_residual": {json.dumps(float(q.max_abs_residual))},\n  "certified": {json.dumps(bool(q.certified))}\n}}\n'
+    )
 
 
 def _integers(data: dict, *names: str) -> None:

@@ -12,19 +12,31 @@ each deviation is exact to well under one double ulp.  The exact constants
 these moments, and the multinomials and zonal coefficients below) are made
 once per (d, t), on first use, and shared read-only.
 
-The table is filled by a depth-first walk over the coordinates of N points in
-R^d.  The product x_0^a_0 ... x_c^a_c is formed once and shared by every
-monomial with that prefix, so each monomial costs one elementwise multiply
-and one sum over N extended-precision numbers: O(N * C(d+t, t)) time.  The
-products are formed left to right, skipping zero exponents, exactly as a
-monomial-at-a-time loop would, so the deviations do not depend on the walk.
-Memory is about ((d-2)*t + d + 1)*N extended-precision numbers: stored
-powers x_c^e (e <= t) for c >= 2, one product buffer per level, and two
-buffers in which the powers of x_0 and x_1 are formed as the walk reaches
-them.  The walk is a module-level function: a nested function that calls
-itself is a reference cycle through its closure, which would keep the
-buffers alive after the table is built until the cyclic garbage collector
-ran.
+The table is filled by one of two walks over N points in R^d, each
+O(N * C(d+t, t)) time, and both give the same bits.  Each product x^alpha is
+formed left to right from the running powers x_c^e = x_c^(e-1) * x_c, exactly
+as a monomial-at-a-time loop would, and each monomial's N values are summed
+by numpy's pairwise sum over one contiguous row, so the deviations do not
+depend on the walk.
+
+* A small set, whose table of C(d+t, t) monomials x N points holds at most
+  `_SMALL_TABLE` = 2^20 long doubles (every leaf `build` walks, up to
+  t = 126), is walked in one pass over that whole table: one `cumprod` forms
+  every coordinate's powers, one fancy-indexed multiply per coordinate
+  forms every row, and one `sum(axis=1)` sums them.  A factor x^0 = 1 is a
+  multiply by one, which is exact.  Memory is the table, one temporary of
+  its size and (t+1)*d*N powers: at most 2^21 long doubles (32 MB) besides
+  the powers.
+* A larger set is walked depth-first over the coordinates.  The product
+  x_0^a_0 ... x_c^a_c is formed once and shared by every monomial with that
+  prefix, skipping zero exponents, so each monomial costs one elementwise
+  multiply and one sum.  Memory is about ((d-2)*t + d + 1)*N
+  extended-precision numbers: stored powers x_c^e (e <= t) for c >= 2, one
+  product buffer per level, and two buffers in which the powers of x_0 and
+  x_1 are formed as the walk reaches them.  The walk is a module-level
+  function: a nested function that calls itself is a reference cycle
+  through its closure, which would keep the buffers alive after the table
+  is built until the cyclic garbage collector ran.
 
 A design made by `construct.product` from factors X in R^m and Y in R^n and
 a rule T = {t_1..t_K} has the points (s_k x, c_k y), with
@@ -112,6 +124,10 @@ class VerificationReport:
 # exponent of x_0, so streaming them costs O(t^2) products and saves 2t columns.
 _STREAMED = 2
 
+# A set whose table of monomials x points holds at most this many long doubles
+# is walked in one pass over the whole table: every `build` leaf up to t = 126.
+_SMALL_TABLE = 1 << 20
+
 
 def _powers(column, top: int, stored, buffer):
     """None for x^0, then x^e for e = 1..top.
@@ -157,11 +173,24 @@ def _walk(pts, tables, scratch, c: int, budget: int, prefix, head: tuple, sums: 
             sums[exponents] = value.sum()
 
 
-def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
-    """Mean of x^alpha over the rows of `pts` for every |alpha| <= t, in graded order."""
-    if t < 0:
-        raise ValueError(f"degree must be >= 0, got {t}")
-    pts = np.asarray(pts, dtype=np.longdouble)
+def _walk_table(pts: np.ndarray, t: int) -> np.ndarray:
+    """Sum of x^alpha over the rows of `pts` for every |alpha| <= t, in graded
+    order, from the whole (monomials x points) table at once."""
+    count, dim = pts.shape
+    powers = np.empty((t + 1, dim, count), dtype=np.longdouble)
+    powers[0] = 1
+    powers[1:] = pts.T
+    np.cumprod(powers, axis=0, out=powers)  # row e is x^e = x^(e-1) * x, as the streaming walk forms it
+    exponents = _exponent_columns(dim, t)
+    table = powers[exponents[0], 0]
+    for c in range(1, dim):
+        table *= powers[exponents[c], c]
+    return table.sum(axis=1)
+
+
+def _walk_streaming(pts: np.ndarray, t: int) -> np.ndarray:
+    """Sum of x^alpha over the rows of `pts` for every |alpha| <= t, in graded
+    order, by the depth-first walk over the coordinates."""
     count, dim = pts.shape
     tables = [None] * dim
     for c in range(_STREAMED, dim):
@@ -178,8 +207,23 @@ def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
     ]
     sums = {}
     _walk(pts, tables, scratch, 0, t, None, (), sums)
-    alphas = _exact_constants(dim, t)[0]
-    return np.array([sums[alpha] for alpha in alphas], dtype=np.longdouble) / count
+    return np.array([sums[alpha] for alpha in _exact_constants(dim, t)[0]], dtype=np.longdouble)
+
+
+def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
+    """Mean of x^alpha over the rows of `pts` for every |alpha| <= t, in graded order.
+
+    A set whose table of monomials x points holds at most `_SMALL_TABLE`
+    long doubles is walked in one pass over that table, in memory for the
+    table, one temporary of its size and (t+1)*d*N powers; a larger one
+    depth-first over the coordinates, in about ((d-2)*t + d + 1)*N long
+    doubles.  Both give the same bits."""
+    if t < 0:
+        raise ValueError(f"degree must be >= 0, got {t}")
+    pts = np.asarray(pts, dtype=np.longdouble)
+    count, dim = pts.shape
+    walk = _walk_table if count * len(_exact_constants(dim, t)[0]) <= _SMALL_TABLE else _walk_streaming
+    return walk(pts, t) / count
 
 
 @cache
@@ -199,9 +243,10 @@ def product_averages(left_table, right_table, scales: np.ndarray, m: int, n: int
 
     avg(u^a v^b) = T[|a|, |b|] * avg_X(u^a) * avg_Y(v^b), T[i, j] = mean_k s_k^i c_k^j.
     """
-    powers = np.ones((t + 1,) + scales.shape, dtype=np.longdouble)
-    for i in range(1, t + 1):
-        powers[i] = powers[i - 1] * scales
+    powers = np.empty((t + 1,) + scales.shape, dtype=np.longdouble)
+    powers[0] = 1
+    powers[1:] = scales
+    np.cumprod(powers, axis=0, out=powers)
     weights = powers[:, :, 0] @ powers[:, :, 1].T / len(scales)
     a, b, degree_a, degree_b = _split_indices(m, n, t)
     return weights[degree_a, degree_b] * left_table[a] * right_table[b]
@@ -250,15 +295,38 @@ def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarr
     )
 
 
+@cache
+def _exponent_columns(dim: int, t: int) -> np.ndarray:
+    """Row c holds alpha_c for every |alpha| <= t, in graded order, read-only."""
+    out = np.array(_exact_constants(dim, t)[0], dtype=np.intp).T.copy()
+    out.setflags(write=False)
+    return out
+
+
+@cache
+def _degree_blocks(dim: int, t: int) -> np.ndarray:
+    """Mask of a (t+1) x (largest block) table: row k's first C(dim+k-1, k) cells
+    hold, in graded order, the alphas of degree k."""
+    bounds = _exact_constants(dim, t)[3]
+    sizes = np.diff(bounds)
+    out = np.arange(sizes[-1]) < sizes[:, None]
+    out.setflags(write=False)
+    return out
+
+
 def _degree_squares(deviations: np.ndarray, dim: int, t: int) -> np.ndarray:
     """sum over |alpha| = k of (k!/alpha!) delta_alpha^2, for k = 0..t.
 
     Each degree's block is summed left to right (a cumsum, not numpy's pairwise
     sum), so the rounding is that of a loop over the alphas in graded order.
+    The blocks are the rows of one zero-padded table; every term is >= 0, so
+    the trailing zeros leave each row's sum as it is.
     """
-    _, _, multinomials, bounds = _exact_constants(dim, t)
-    weighted = multinomials * deviations * deviations
-    return np.array([np.cumsum(weighted[start:stop])[-1] for start, stop in zip(bounds, bounds[1:])])
+    _, _, multinomials, _ = _exact_constants(dim, t)
+    mask = _degree_blocks(dim, t)
+    padded = np.zeros(mask.shape, dtype=np.longdouble)
+    padded[mask] = multinomials * deviations * deviations
+    return np.cumsum(padded, axis=1)[:, -1]
 
 
 def verify_averages(table: np.ndarray, dim: int, t: int, tol: float) -> list[VerificationReport]:

@@ -16,6 +16,10 @@
   the factors, `np.repeat` of X and `np.tile` of Y, scaled one node at a
   time.  `construct.product` broadcasts the factors instead; each
   coordinate is the same single product, so the two must agree bit for bit.
+* `rule_text_encoded` is the rule writer that `formats.rule_text`'s template
+  replaced: json's encoder, indent=2, over the rule's field dict, each float
+  field in 17g and hex text by `encode_floats`.  The two must write the same
+  bytes.
 * `same_bits` compares floating-point arrays by value and sign bit.
   `tobytes()` will not do for long doubles: on x86-64 each 80-bit value is
   stored in 16 bytes, and the 6 padding bytes are not initialised, so two
@@ -43,6 +47,7 @@ import numpy as np
 
 from designforge import JacobiWeight, MultiIndex, VerificationReport, iter_multi_indices, jacobi_moment_ratio, sphere_monomial_moment
 from designforge.construct import _scales_of
+from designforge.formats import dump_json, float_text
 from designforge.jacobi import _coefficients
 
 
@@ -127,6 +132,24 @@ def product_points_repeat_tile(X, Y, T) -> np.ndarray:
     xs = np.repeat(X.points, Y.count, axis=0)
     ys = np.tile(Y.points, (X.count, 1))
     return np.vstack([np.hstack([s * xs, c * ys]) for s, c in _scales_of(T)])
+
+
+def encode_floats(field: str, values) -> dict:
+    """`values` in 17g text under `field` and in hex under field + "_hex"; both lists nest like the array."""
+    return {field: float_text(values).tolist(), field + "_hex": float_text(values, exact=True).tolist()}
+
+
+def rule_text_encoded(q) -> str:
+    """A rule file, by json's encoder over the rule's fields."""
+    return dump_json({
+        "m": q.weight.m,
+        "n": q.weight.n,
+        "degree": q.degree,
+        "K": q.K,
+        **encode_floats("nodes", q.nodes),
+        "max_abs_residual": float(q.max_abs_residual),
+        "certified": bool(q.certified),
+    })
 
 
 def same_bits(a, b) -> bool:

@@ -22,7 +22,9 @@ from designforge import (
     InMemoryQuadratureCache,
     JacobiWeight,
     MultiIndex,
+    NoConvergenceError,
     Quadrature,
+    SolverOptions,
     VerificationReport,
     base_s0,
     base_s1,
@@ -35,10 +37,10 @@ from designforge.cache import CacheWriteError, QuadratureCache, key
 from designforge import construct
 from designforge.cli import main
 from designforge.formats import (
-    _JSON_ROW, _format_product_rows, _format_rows, atomic_write_text, design_text, dump_json, encode_floats, read_design,
+    _JSON_ROW, _format_product_rows, _format_rows, atomic_write_text, design_text, dump_json, read_design,
     rule_from_json, rule_text,
 )
-from oracles import per_value_text
+from oracles import encode_floats, per_value_text, rule_text_encoded
 
 
 @pytest.fixture
@@ -923,6 +925,31 @@ class TestDesignWriters:
         assert result.exit_code == 0, result.output
         points = built(4, 6)[0].points.astype(np.float64)
         assert np.array_equal(read_design(path, 6).points.astype(np.float64), points)
+
+
+class TestRuleWriter:
+    """`rule_text`'s template against json's encoder over the rule's fields."""
+
+    def test_every_small_rule(self):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for t in range(13):
+                    rule, _ = solve_equal_weight(JacobiWeight(m, n), t)
+                    assert rule_text(rule) == rule_text_encoded(rule), (m, n, t)
+
+    def test_best_effort_rule(self):
+        with pytest.raises(NoConvergenceError) as excinfo:
+            solve_equal_weight(JacobiWeight(2, 1), 7, SolverOptions(max_K=10))
+        rule = excinfo.value.best
+        assert rule.K == 10 and not rule.certified
+        assert rule_text(rule) == rule_text_encoded(rule)
+        assert '"certified": false' in rule_text(rule)
+
+    def test_never_certified_rule(self):
+        rule = Quadrature(weight=JacobiWeight(3, 2), degree=3, nodes=np.array([-0.0, 0.5, -1.0]))
+        assert math.isnan(rule.max_abs_residual)
+        assert rule_text(rule) == rule_text_encoded(rule)
+        assert '"max_abs_residual": NaN' in rule_text(rule)
 
 
 @st.composite

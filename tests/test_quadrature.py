@@ -30,8 +30,8 @@ from designforge.quadrature import (
     _lm_step,
     _quantile_table,
 )
-from designforge.formats import decode_floats, encode_floats, rule_from_json, rule_text
-from oracles import orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
+from designforge.formats import decode_floats, rule_from_json, rule_text
+from oracles import encode_floats, orthonormal_values_direct, power_moment, same_bits, sin_cos_integral
 
 mp.mp.dps = 40
 

@@ -229,6 +229,30 @@ class TestDeviationTable:
         for t in range(8):
             self.assert_bit_identical(random_unit_design(17 + 5 * t, dim, t, seed=200 + 10 * dim + t), t)
 
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 3.0])
+    def test_small_path_polygons(self, monkeypatch, phase):
+        # a build's leaves take the one-pass table walk, and never enter the streaming one
+        monkeypatch.setattr(verify, "_walk_streaming", None)
+        for t in range(81):
+            self.assert_bit_identical(base_s1(t, phase=phase), t)
+
+    def test_small_path_point_pairs(self, monkeypatch):
+        monkeypatch.setattr(verify, "_walk_streaming", None)
+        for t in range(81):
+            self.assert_bit_identical(base_s0(t), t)
+
+    # at (1, 15) the 16 monomials divide the cap, so a set of cap / 16 points fills it exactly
+    @pytest.mark.parametrize("dim,t", [(2, 10), (3, 8), (6, 4), (1, 15)])
+    def test_both_paths_agree_on_each_side_of_the_cap(self, monkeypatch, dim, t):
+        fits = verify._SMALL_TABLE // len(verify._exact_constants(dim, t)[0])
+        for count, other in ((fits, "_walk_streaming"), (fits + 1, "_walk_table")):
+            pts = random_unit_design(count, dim, t, seed=300 + count).points.astype(np.longdouble)
+            table = verify._walk_table(pts, t)
+            assert same_bits(table, verify._walk_streaming(pts, t)), (dim, t, count)
+            with monkeypatch.context() as patch:  # the path not taken at this size is never entered
+                patch.setattr(verify, other, None)
+                assert same_bits(verify.walked_averages(pts, t), table / count)
+
     def test_memory_freed_on_return_and_below_power_table(self):
         # with the cyclic collector off, only reference counting frees the
         # table; the peak stays under a stored table of every x_c^e, e <= t
@@ -248,16 +272,15 @@ class TestDeviationTable:
 
 
 def count_walks(monkeypatch):
-    """The ambient dimension of every point set `verify._walk` is entered for, in order."""
+    """The ambient dimension of every point set `verify.walked_averages` walks, in order."""
     entries = []
-    real = verify._walk
+    real = verify.walked_averages
 
-    def counting(pts, tables, scratch, c, *args):
-        if c == 0:
-            entries.append(pts.shape[1])
-        return real(pts, tables, scratch, c, *args)
+    def counting(pts, t):
+        entries.append(np.shape(pts)[1])
+        return real(pts, t)
 
-    monkeypatch.setattr(verify, "_walk", counting)
+    monkeypatch.setattr(verify, "walked_averages", counting)
     return entries
 
 
