@@ -27,16 +27,16 @@ depend on the walk.
   multiply by one, which is exact.  Memory is the table, one temporary of
   its size and (t+1)*d*N powers: at most 2^21 long doubles (32 MB) besides
   the powers.
-* A larger set is walked depth-first over the coordinates.  The product
-  x_0^a_0 ... x_c^a_c is formed once and shared by every monomial with that
-  prefix, skipping zero exponents, so each monomial costs one elementwise
-  multiply and one sum.  Memory is about ((d-2)*t + d + 1)*N
+* A larger set is walked in one loop over the monomials in lexicographic
+  order.  Each monomial there raises one exponent alpha_c of the one before
+  by one and zeroes those after c, so the product x_0^a_0 ... x_c^a_c of
+  the coordinates up to c, skipping zero exponents, is formed once, from
+  the kept product up to c-1, and shared by every monomial with that
+  prefix: each monomial costs one elementwise multiply and one sum, written
+  to its graded position.  Memory is about ((d-2)*t + d + 1)*N
   extended-precision numbers: stored powers x_c^e (e <= t) for c >= 2, one
-  product buffer per level, and two buffers in which the powers of x_0 and
-  x_1 are formed as the walk reaches them.  The walk is a module-level
-  function: a nested function that calls itself is a reference cycle
-  through its closure, which would keep the buffers alive after the table
-  is built until the cyclic garbage collector ran.
+  product buffer per coordinate c >= 1, and two buffers in which the powers
+  of x_0 and x_1 are formed as the loop reaches them.
 
 A design made by `construct.product` from factors X in R^m and Y in R^n and
 a rule T = {t_1..t_K} has the points (s_k x, c_k y), with
@@ -129,50 +129,6 @@ _STREAMED = 2
 _SMALL_TABLE = 1 << 20
 
 
-def _powers(column, top: int, stored, buffer):
-    """None for x^0, then x^e for e = 1..top.
-
-    Read from `stored` (stored[e-1] = x^e), or formed in `buffer` by the same
-    running product x^e = x^(e-1) * x that fills the stored table.
-    """
-    yield None
-    if stored is not None:
-        yield from stored[:top]
-        return
-    for e in range(1, top + 1):
-        if e == 1:
-            np.copyto(buffer, column)
-        else:
-            np.multiply(buffer, column, out=buffer)
-        yield buffer
-
-
-def _walk(pts, tables, scratch, c: int, budget: int, prefix, head: tuple, sums: dict) -> None:
-    """Sum x^alpha over the points for every alpha that extends `head`, the
-    exponents of coordinates < c, by at most `budget` more degrees.
-
-    `prefix` is the product, left to right, of the factors x_b^alpha_b with
-    b < c and alpha_b > 0, or None when there are none.  Level c writes its
-    products into scratch[c], which deeper levels never touch.
-    """
-    last = c == pts.shape[1] - 1
-    product, running = scratch[c]
-    for e, power in enumerate(_powers(pts[:, c], budget, tables[c], running)):
-        if power is None:
-            value = prefix
-        elif prefix is None:
-            value = power
-        else:
-            value = np.multiply(prefix, power, out=product)
-        exponents = head + (e,)
-        if not last:
-            _walk(pts, tables, scratch, c + 1, budget - e, value, exponents, sums)
-        elif value is None:  # x^0: a sum of N ones, which is exact
-            sums[exponents] = np.longdouble(pts.shape[0])
-        else:
-            sums[exponents] = value.sum()
-
-
 def _walk_table(pts: np.ndarray, t: int) -> np.ndarray:
     """Sum of x^alpha over the rows of `pts` for every |alpha| <= t, in graded
     order, from the whole (monomials x points) table at once."""
@@ -190,24 +146,37 @@ def _walk_table(pts: np.ndarray, t: int) -> np.ndarray:
 
 def _walk_streaming(pts: np.ndarray, t: int) -> np.ndarray:
     """Sum of x^alpha over the rows of `pts` for every |alpha| <= t, in graded
-    order, by the depth-first walk over the coordinates."""
+    order, by one loop over the alphas in lexicographic order."""
     count, dim = pts.shape
-    tables = [None] * dim
-    for c in range(_STREAMED, dim):
-        column = pts[:, c]
-        tables[c] = []
-        for _ in range(t):
-            tables[c].append(tables[c][-1] * column if tables[c] else column.copy())
-    scratch = [
-        (
-            np.empty(count, dtype=np.longdouble) if c > 0 else None,
-            np.empty(count, dtype=np.longdouble) if c < _STREAMED else None,
-        )
-        for c in range(dim)
-    ]
-    sums = {}
-    _walk(pts, tables, scratch, 0, t, None, (), sums)
-    return np.array([sums[alpha] for alpha in _exact_constants(dim, t)[0]], dtype=np.longdouble)
+    exponents = _exponent_columns(dim, t)
+    order = np.lexsort(exponents[::-1])
+    lex = exponents[:, order]
+    # each alpha raises alpha_c of the one before by one and zeroes those after c
+    steps = np.argmax(lex[:, 1:] != lex[:, :-1], axis=0)
+    # stored[e - 1, c - _STREAMED] is x_c^e = x_c^(e-1) * x_c, in one contiguous row
+    stored = np.empty((t, max(dim - _STREAMED, 0), count), dtype=np.longdouble)
+    stored[:] = pts[:, _STREAMED:].T
+    np.cumprod(stored, axis=0, out=stored)
+    running = np.empty((min(dim, _STREAMED), count), dtype=np.longdouble)
+    buffers = np.empty((dim - 1, count), dtype=np.longdouble)  # coordinate c >= 1 forms its product in row c - 1
+    # products[c] is the product, left to right, of x_b^alpha_b for b <= c and alpha_b > 0
+    products = [None] * dim
+    sums = np.empty(len(order), dtype=np.longdouble)
+    sums[0] = count  # x^0, first in both orders: a sum of N ones, which is exact
+    for rank, c, e in zip(order[1:].tolist(), steps.tolist(), lex[steps, np.arange(1, len(order))].tolist()):
+        if c >= _STREAMED:
+            power = stored[e - 1, c - _STREAMED]
+        else:
+            power = running[c]
+            if e == 1:
+                np.copyto(power, pts[:, c])
+            else:
+                np.multiply(power, pts[:, c], out=power)
+        prefix = products[c - 1] if c else None
+        value = power if prefix is None else np.multiply(prefix, power, out=buffers[c - 1])
+        products[c:] = [value] * (dim - c)
+        sums[rank] = value.sum()
+    return sums
 
 
 def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
@@ -215,9 +184,10 @@ def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
 
     A set whose table of monomials x points holds at most `_SMALL_TABLE`
     long doubles is walked in one pass over that table, in memory for the
-    table, one temporary of its size and (t+1)*d*N powers; a larger one
-    depth-first over the coordinates, in about ((d-2)*t + d + 1)*N long
-    doubles.  Both give the same bits."""
+    table, one temporary of its size and (t+1)*d*N powers; a larger one in
+    one loop over the monomials in lexicographic order, which forms each
+    prefix product x_0^a_0 ... x_c^a_c once, in about ((d-2)*t + d + 1)*N
+    long doubles.  Both give the same bits."""
     if t < 0:
         raise ValueError(f"degree must be >= 0, got {t}")
     pts = np.asarray(pts, dtype=np.longdouble)

@@ -253,10 +253,12 @@ class TestDeviationTable:
                 patch.setattr(verify, other, None)
                 assert same_bits(verify.walked_averages(pts, t), table / count)
 
-    def test_memory_freed_on_return_and_below_power_table(self):
+    # (8, 4) is left out: there the d + 1 buffers outweigh the 2t columns that streaming x_0 and x_1 saves
+    @pytest.mark.parametrize("dim,t", [(6, 7), (3, 7), (2, 7)])
+    def test_memory_freed_on_return_and_below_power_table(self, dim, t):
         # with the cyclic collector off, only reference counting frees the
         # table; the peak stays under a stored table of every x_c^e, e <= t
-        count, dim, t = 50_000, 6, 7
+        count = 50_000
         design = random_unit_design(count, dim, t, seed=7)
         column = count * np.dtype(np.longdouble).itemsize
         gc.disable()
@@ -269,6 +271,30 @@ class TestDeviationTable:
             gc.enable()
         assert current < column
         assert peak < dim * t * column
+
+
+class TestStreamingWalk:
+    """The streaming walk, forced on sets that fit the cap, against the per-monomial loop."""
+
+    @pytest.fixture(autouse=True)
+    def streaming_only(self, monkeypatch):
+        monkeypatch.setattr(verify, "_SMALL_TABLE", -1)
+        monkeypatch.setattr(verify, "_walk_table", None)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_random_point_sets(self, dim):
+        # d = 1 stores no power and forms no product; t = 0 walks one monomial
+        for t in range(8):
+            TestDeviationTable.assert_bit_identical(random_unit_design(17 + 5 * t, dim, t, seed=200 + 10 * dim + t), t)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 3.0])
+    def test_polygons(self, phase):
+        for t in range(81):
+            TestDeviationTable.assert_bit_identical(base_s1(t, phase=phase), t)
+
+    def test_point_pairs(self):
+        for t in range(81):
+            TestDeviationTable.assert_bit_identical(base_s0(t), t)
 
 
 def count_walks(monkeypatch):
