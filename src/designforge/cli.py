@@ -35,7 +35,7 @@ from pathlib import Path
 
 import click
 
-from .cache import CacheWriteError, InMemoryQuadratureCache, QuadratureCache
+from .cache import CacheWriteError, QuadratureCache
 from .construct import (
     DESIGN_TOLERANCE,
     BuildError,
@@ -269,10 +269,9 @@ def bounds(n, t_max, fmt, cache_dir):
 @_cache_dir_option
 def quadrature(m, n, t, output, opts, cache_dir):
     """Solve (or load) an equal-weight rule of degree T for the (M, N) weight."""
-    cache = _open_cache(cache_dir) or InMemoryQuadratureCache()
     exit_code = 0
     try:
-        q = solve_cached(m, n, t, opts, cache)
+        q = solve_cached(m, n, t, opts, _open_cache(cache_dir))
     except NoConvergenceError as exc:
         click.echo(f"no convergence: {exc}", err=True)
         if exc.best is None:  # refused before any attempt: no best-effort rule to write

@@ -336,14 +336,16 @@ class BuildReport:
 
 
 def solve_cached(
-    m: int, n: int, t: int, opts: SolverOptions, cache_obj: InMemoryQuadratureCache
+    m: int, n: int, t: int, opts: SolverOptions, cache_obj: InMemoryQuadratureCache | None = None
 ) -> Quadrature:
-    """Solve for an equal-weight rule, consulting the cache first."""
-    hit = cache_obj.lookup(m, n, t, opts.tolerance)
+    """Solve for an equal-weight rule, consulting the cache first; with no
+    cache, solve and keep nothing."""
+    hit = cache_obj.lookup(m, n, t, opts.tolerance) if cache_obj is not None else None
     if hit is not None:
         return hit
     q, _ = solve_equal_weight(JacobiWeight(m, n), t, opts)
-    cache_obj.store(q)
+    if cache_obj is not None:
+        cache_obj.store(q)
     return q
 
 
@@ -410,10 +412,11 @@ def certify_plan(
         return table, report, parts
 
     _, root, parts = execute(bp.root, "")
+    max_residual = max(node_report.verify_residual for _, node_report, _ in done.values())  # a repeat's is its original's
     done.clear()  # `execute` refers to itself, so only a gc pass frees its cells; they must hold no design
     report = BuildReport(sphere_dim=bp.sphere_dim, degree=t, total_points=root.cardinality,
                          exponent=a_sequence(bp.sphere_dim), dgs_lower_bound=lower_bound(bp.sphere_dim, t),
-                         max_residual=_max_residual(root), passed=True, root=root)
+                         max_residual=max_residual, passed=True, root=root)
     return report, parts
 
 
@@ -453,14 +456,14 @@ def certify_build(
     phase: float = 0.0,
 ) -> tuple[BuildReport, Design | tuple]:
     """`build` without forming the points: `certify_plan` with each rule
-    solved or fetched from `cache_obj` by `solve_cached`.  Raises MemoryError
-    naming the point count before any rule is solved if the plan's leaves
-    alone rule out holding the points."""
+    solved or fetched from `cache_obj` by `solve_cached`.  With no cache the
+    rules are solved and none is kept: `certify_plan` asks for each join's
+    rule once.  Raises MemoryError naming the point count before any rule is
+    solved if the plan's leaves alone rule out holding the points."""
     fewest = _leaf_points(bp.root, bp.degree)
     if fewest * bp.root.ambient_dim * np.dtype(np.longdouble).itemsize > sys.maxsize:
         raise MemoryError(f"S^{bp.sphere_dim} degree {bp.degree} needs at least {_count_text(fewest)} points, which do not fit in memory")
     solver_opts = solver_opts or SolverOptions()
-    cache_obj = InMemoryQuadratureCache() if cache_obj is None else cache_obj
     return certify_plan(
         bp, lambda m, n, degree: solve_cached(m, n, degree, solver_opts, cache_obj), design_tol, phase
     )
@@ -501,7 +504,3 @@ def _leaf_points(node: PlanNode, t: int) -> int:
     if node.kind == "product":
         return _leaf_points(node.left, t) * _leaf_points(node.right, t)
     return 2 if node.kind == "s0" else t + 1  # base_s0 and base_s1's point counts
-
-
-def _max_residual(node: BuildNodeReport) -> float:
-    return max([node.verify_residual] + [_max_residual(c) for c in node.children])

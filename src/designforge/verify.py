@@ -8,7 +8,7 @@ Both criteria read one table.  For every monomial x^alpha of total degree
 of the point average from the exact rational sphere moment mu_alpha.
 Averages are accumulated in extended precision with pairwise reduction, so
 each deviation is exact to well under one double ulp.  The exact constants
-(the exponents alpha in graded order with the bounds of each degree's block,
+(the exponents alpha in graded order with the mask of each degree's block,
 these moments, and the multinomials and zonal coefficients below) are made
 once per (d, t), on first use, and shared read-only.
 
@@ -252,16 +252,20 @@ def _zonal_coefficients(dim: int, t: int) -> np.ndarray:
 
 
 @cache
-def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarray, np.ndarray, tuple[int, ...]]:
+def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Every alpha with |alpha| <= t in the order of `iter_multi_indices`, the
     read-only sphere moments and multinomials |alpha|!/alpha! in that order,
-    and the block bounds: the alphas of degree k are alphas[bounds[k]:bounds[k + 1]]."""
+    and the read-only mask of the degree blocks: in a (t+1) x (largest block)
+    table, row k's first C(dim+k-1, k) cells hold the alphas of degree k."""
     alphas = tuple(iter_multi_indices(dim, t))
+    sizes = [math.comb(dim + k - 1, k) for k in range(t + 1)]
+    blocks = np.arange(sizes[-1]) < np.array(sizes)[:, None]
+    blocks.setflags(write=False)
     return (
         alphas,
         _read_only([sphere_monomial_moment(dim, alpha) for alpha in alphas]),
         _read_only([math.factorial(alpha.degree) // math.prod(map(math.factorial, alpha)) for alpha in alphas]),
-        tuple(math.comb(dim + k - 1, dim) for k in range(t + 2)),
+        blocks,
     )
 
 
@@ -269,17 +273,6 @@ def _exact_constants(dim: int, t: int) -> tuple[tuple[MultiIndex, ...], np.ndarr
 def _exponent_columns(dim: int, t: int) -> np.ndarray:
     """Row c holds alpha_c for every |alpha| <= t, in graded order, read-only."""
     out = np.array(_exact_constants(dim, t)[0], dtype=np.intp).T.copy()
-    out.setflags(write=False)
-    return out
-
-
-@cache
-def _degree_blocks(dim: int, t: int) -> np.ndarray:
-    """Mask of a (t+1) x (largest block) table: row k's first C(dim+k-1, k) cells
-    hold, in graded order, the alphas of degree k."""
-    bounds = _exact_constants(dim, t)[3]
-    sizes = np.diff(bounds)
-    out = np.arange(sizes[-1]) < sizes[:, None]
     out.setflags(write=False)
     return out
 
@@ -292,8 +285,7 @@ def _degree_squares(deviations: np.ndarray, dim: int, t: int) -> np.ndarray:
     The blocks are the rows of one zero-padded table; every term is >= 0, so
     the trailing zeros leave each row's sum as it is.
     """
-    _, _, multinomials, _ = _exact_constants(dim, t)
-    mask = _degree_blocks(dim, t)
+    _, _, multinomials, mask = _exact_constants(dim, t)
     padded = np.zeros(mask.shape, dtype=np.longdouble)
     padded[mask] = multinomials * deviations * deviations
     return np.cumsum(padded, axis=1)[:, -1]

@@ -447,6 +447,15 @@ class TestQuadratureCommand:
         assert first.exit_code == 0 and second.exit_code == 0
         assert first.output == second.output
 
+    def test_without_cache_dir_writes_the_solved_rule(self, runner, tmp_path):
+        # no cache is kept without --cache-dir: the file is the solved rule's, as from a fresh --cache-dir
+        bare, cached = tmp_path / "bare.json", tmp_path / "cached.json"
+        assert runner.invoke(main, ["quadrature", "2", "1", "7", "-o", str(bare)]).exit_code == 0
+        args = ["quadrature", "2", "1", "7", "--cache-dir", str(tmp_path / "c"), "-o", str(cached)]
+        assert runner.invoke(main, args).exit_code == 0
+        solved = rule_text(solve_equal_weight(JacobiWeight(2, 1), 7)[0]).encode()
+        assert bare.read_bytes() == cached.read_bytes() == solved
+
     def test_no_convergence_nonzero_exit_and_best_effort_file(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr("designforge.quadrature.MAX_ITERATIONS", 5)
         out = tmp_path / "q.json"

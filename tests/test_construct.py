@@ -334,6 +334,32 @@ class TestBuild:
         design, _ = build(plan(2, 7), cache_obj=cache)
         assert cache.stored == [(2, 1, 3)] and design.degree == 7
 
+    # a join (m, n) sits at ambient m + n, which a plan reaches at one node, repeated or not:
+    # a cold build with no cache solves each distinct join's rule once
+    @pytest.mark.parametrize("n,t,overrides,joins", [(7, 4, None, [(4, 4), (2, 2)]),
+                                                     (5, 4, {6: (4, 2)}, [(4, 2), (2, 2)]),
+                                                     (2, 10, None, [(2, 1)])])
+    def test_cold_build_solves_each_join_once(self, monkeypatch, n, t, overrides, joins):
+        solved = []
+        real = construct.solve_equal_weight
+
+        def counting(weight, degree, opts):
+            solved.append((weight.m, weight.n))
+            return real(weight, degree, opts)
+
+        monkeypatch.setattr(construct, "solve_equal_weight", counting)
+        report, _ = construct.certify_build(plan(n, t, overrides))
+        assert solved == joins and report.passed
+
+    @pytest.mark.parametrize("n,t", [(2, 10), (4, 6), (6, 3)])
+    def test_max_residual_is_the_largest_in_the_tree(self, built, n, t):
+        # read off the distinct nodes only; a repeated subtree's nodes are copies with the same residuals
+        def residuals(node):
+            return [node.verify_residual] + [r for child in node.children for r in residuals(child)]
+
+        _, report = built(n, t)
+        assert report.max_residual == max(residuals(report.root))
+
     @pytest.mark.parametrize("t", [70, 72, 74, pytest.param(76, marks=pytest.mark.xfail(
         strict=True, raises=BuildError,
         reason="ROADMAP item 10: the alternating zonal sum lifts the root's pairwise residual past 1e-9"))])
