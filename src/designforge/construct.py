@@ -361,10 +361,11 @@ def certify_plan(
     degree floor(t/2), enough for degree t (see `product`).  A leaf's table
     of monomial averages is walked over its points, a product's is read off
     its children's tables and its rule's scales (`verify.product_averages`);
-    `verify.verify_averages` reads the monomial and, from ambient 2 up, the
-    pairwise certificate off it.  Each distinct subtree is certified, and
-    its rule asked for, once; a repeat's report is a copy under its own
-    paths.  Returns the build report and the root's certified parts, which
+    `verify.verify_averages` reads the monomial and, from ambient 3 up, the
+    pairwise certificate off it; an S^1 leaf's pairwise sums are formed
+    from its points by `verify.circle_sums`.  Each distinct subtree is
+    certified, and its rule asked for, once; a repeat's report is a copy
+    under its own paths.  Returns the build report and the root's certified parts, which
     `form` makes the design from: a leaf's design, or a product's (left
     parts, right parts, rule), where equal children are one object.
     Raises BuildError naming the first node whose certificate exceeds
@@ -382,7 +383,7 @@ def certify_plan(
         if node in done:
             table, report, parts = done[node]
             return table, _repathed(report, path), parts
-        product_fields = {}
+        product_fields, pairwise = {}, None
         if node.kind == "product":
             m, n = node.split
             rule = rule_for(m, n, t // 2)  # first, so a missing rule ends the walk early
@@ -396,8 +397,10 @@ def certify_plan(
         else:
             parts = base_s0(t) if node.kind == "s0" else base_s1(t, phase=phase)
             table = _verify.walked_averages(parts.points, t)
+            if node.kind == "s1":
+                pairwise = _verify.circle_sums(parts.points, t)
             cardinality = parts.count
-        checks = _verify.verify_averages(table, node.ambient_dim, t, design_tol)
+        checks = _verify.verify_averages(table, node.ambient_dim, t, design_tol, pairwise)
         residual = max(r.max_abs_residual for r in checks)
         if not all(r.passed for r in checks):
             raise BuildError(
@@ -412,7 +415,8 @@ def certify_plan(
         return table, report, parts
 
     _, root, parts = execute(bp.root, "")
-    max_residual = max(node_report.verify_residual for _, node_report, _ in done.values())  # a repeat's is its original's
+    # the memo holds each distinct node once, and a repeat's report is a copy with the same residual
+    max_residual = max(node_report.verify_residual for _, node_report, _ in done.values())
     done.clear()  # `execute` refers to itself, so only a gc pass frees its cells; they must hold no design
     report = BuildReport(sphere_dim=bp.sphere_dim, degree=t, total_points=root.cardinality,
                          exponent=a_sequence(bp.sphere_dim), dgs_lower_bound=lower_bound(bp.sphere_dim, t),

@@ -1,7 +1,8 @@
 """Certification of the design property against exact moments.
 
-Both criteria read one table.  For every monomial x^alpha of total degree
-<= t it holds the deviation
+Both criteria read one table, except the pairwise one at d = 2, which reads
+the points (below).  For every monomial x^alpha of total degree <= t it
+holds the deviation
 
     delta_alpha = (1/N) sum_i x_i^alpha - mu_alpha
 
@@ -68,12 +69,20 @@ depth 4 and t = 20), far below any tolerance in use (1e-9 by default).
   1977).  It is quadratic in the deviations, so on its own it passes
   averages that are off by about the square root of its tolerance.
 
-`verify_design` walks a design's points into one table and certifies it so,
-and `build` certifies every node's table.  `verify_monomials` and
-`verify_gegenbauer` are the two entries of `verify_design`, kept only for the
-benchmark's span wrappers.
+At d = 2 the addition theorem reads (1/N^2) sum_{i,l} cos(k(theta_i -
+theta_l)) = |avg z^k|^2 with z = x + iy.  `circle_sums` forms that from the
+points, z^k = z^(k-1) * z in complex long double, and `verify_averages`
+takes those sums in place of the table's.  A squared modulus cannot cancel,
+whereas the zonal sum read off the table below does: it rejected the exact
+84-gon at degree 83, and the float64 polygons of written files from t = 74.
 
-The pairwise sum is read off the table instead of the N^2 inner products.
+`verify_design` walks a design's points into one table and certifies it so,
+and `build` certifies every node's table, an S^1 leaf's with its
+`circle_sums`.  `verify_monomials` and `verify_gegenbauer` are the two
+entries of `verify_design`, kept only for the benchmark's span wrappers.
+
+From d = 3 up, and for any table given without its sums, the pairwise sum
+is read off the table instead of the N^2 inner products.
 For unit vectors (x.y)^j = sum_{|alpha|=j} (j!/alpha!) x^alpha y^alpha, so
 with C_k(s) = sum_j c_{k,j} s^j
 
@@ -192,8 +201,41 @@ def walked_averages(pts: np.ndarray, t: int) -> np.ndarray:
         raise ValueError(f"degree must be >= 0, got {t}")
     pts = np.asarray(pts, dtype=np.longdouble)
     count, dim = pts.shape
-    walk = _walk_table if count * len(_exact_constants(dim, t)[0]) <= _SMALL_TABLE else _walk_streaming
+    walk = _walk_table if _one_pass(count, dim, t) else _walk_streaming
     return walk(pts, t) / count
+
+
+def _one_pass(count: int, dim: int, t: int) -> bool:
+    """Whether `count` points in R^dim at degree t are walked in one pass over
+    their table: C(dim+t, t) monomials x `count` points <= `_SMALL_TABLE`."""
+    return count * len(_exact_constants(dim, t)[0]) <= _SMALL_TABLE
+
+
+def circle_sums(pts: np.ndarray, t: int) -> np.ndarray:
+    """|avg z^k|^2 for k = 0..t over the rows (x, y) of `pts`, z = x + iy.
+
+    On the unit circle this is the pairwise sum (1/N^2) sum_{i,l}
+    cos(k(theta_i - theta_l)) that the zonal coefficients read off the
+    table, formed without their cancellation.  Each z^k is z^(k-1) * z in
+    complex long double: by one `cumprod` over a (t+1) x N table where
+    `walked_averages` walks in one pass, otherwise one row at a time, in
+    2N long doubles besides the points.  Both give the same bits."""
+    z = np.ascontiguousarray(pts, dtype=np.longdouble).view(np.clongdouble)[:, 0]  # each row (x, y) read as x + iy
+    count = len(z)
+    if _one_pass(count, 2, t):
+        powers = np.empty((t + 1, count), dtype=np.clongdouble)
+        powers[0] = 1
+        powers[1:] = z
+        totals = np.cumprod(powers, axis=0, out=powers).sum(axis=1)
+    else:
+        totals = np.empty(t + 1, dtype=np.clongdouble)
+        power = np.ones(count, dtype=np.clongdouble)
+        for k in range(t + 1):
+            if k:
+                power *= z
+            totals[k] = power.sum()
+    real, imag = totals.real / count, totals.imag / count
+    return real * real + imag * imag
 
 
 @cache
@@ -291,8 +333,12 @@ def _degree_squares(deviations: np.ndarray, dim: int, t: int) -> np.ndarray:
     return np.cumsum(padded, axis=1)[:, -1]
 
 
-def verify_averages(table: np.ndarray, dim: int, t: int, tol: float) -> list[VerificationReport]:
-    """[monomial report, pairwise report if dim >= 2] of a table of averages in R^dim."""
+def verify_averages(table: np.ndarray, dim: int, t: int, tol: float, pairwise: np.ndarray | None = None
+                    ) -> list[VerificationReport]:
+    """[monomial report, pairwise report if dim >= 2] of a table of averages in R^dim.
+
+    The pairwise sums for k = 0..t are `pairwise` when given (`circle_sums`
+    of the points at dim 2), and are read off the table otherwise."""
     alphas, moments, _, _ = _exact_constants(dim, t)
     deviations = table - moments
     i, worst = _first_largest(deviations)
@@ -301,7 +347,7 @@ def verify_averages(table: np.ndarray, dim: int, t: int, tol: float) -> list[Ver
         worst_monomial=alphas[i],
     )]
     if dim >= 2:
-        sums = _zonal_coefficients(dim, t) @ _degree_squares(deviations, dim, t)
+        sums = _zonal_coefficients(dim, t) @ _degree_squares(deviations, dim, t) if pairwise is None else pairwise
         i, worst = _first_largest(sums[1:]) if t > 0 else (None, 0.0)
         reports.append(VerificationReport(
             method="gegenbauer", degree_checked=t, max_abs_residual=worst, passed=worst <= tol, tolerance=tol,
@@ -311,8 +357,10 @@ def verify_averages(table: np.ndarray, dim: int, t: int, tol: float) -> list[Ver
 
 
 def verify_design(design, t: int, tol: float) -> list[VerificationReport]:
-    """`verify_averages` of the table walked over the design's points."""
-    return verify_averages(walked_averages(design.points, t), design.ambient_dim, t, tol)
+    """`verify_averages` of the table walked over the design's points, with
+    the pairwise sums of a set in R^2 formed from its points by `circle_sums`."""
+    pairwise = circle_sums(design.points, t) if design.ambient_dim == 2 else None
+    return verify_averages(walked_averages(design.points, t), design.ambient_dim, t, tol, pairwise)
 
 
 # perfbench/spans.py times these two views by name until ROADMAP item 5's benchmark refresh

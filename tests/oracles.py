@@ -5,6 +5,11 @@
   zonal polynomials over them by their three-term recurrence, in float64.
   It shares no code with `designforge.verify`, so it is the small-N oracle
   for `verify_gegenbauer`.
+* `circle_sums_running` is the pairwise criterion at ambient 2 as
+  |avg z^k|^2 with z = x + iy, formed one degree at a time by the running
+  product z^k = z^(k-1) * z in complex long double.  `verify.circle_sums`
+  forms a small set's powers by one `cumprod` over a table instead, which
+  does the same multiplies, so the two must agree bit for bit.
 * `moment_deviations_direct` is the per-monomial loop the verifier's table
   walk replaced: each monomial copies x_0^a_0 and multiplies in every other
   nonzero power, left to right.  The walk forms the same products, so the
@@ -103,6 +108,22 @@ def gegenbauer_block_sum(design, t: int, tol: float) -> VerificationReport:
         tolerance=tol,
         worst_degree=worst_k,
     )
+
+
+def circle_sums_running(design, t: int) -> list[np.longdouble]:
+    """|avg z^k|^2 for k = 0..t over the design's points (x, y), z = x + iy."""
+    pts = np.asarray(design.points, dtype=np.longdouble)
+    count = len(pts)
+    z = np.empty(count, dtype=np.clongdouble)
+    z.real, z.imag = pts[:, 0], pts[:, 1]
+    power = np.ones(count, dtype=np.clongdouble)
+    out = []
+    for _ in range(t + 1):
+        total = power.sum()
+        real, imag = total.real / count, total.imag / count
+        out.append(real * real + imag * imag)
+        power = power * z
+    return out
 
 
 def moment_deviations_direct(design, t: int) -> list[tuple[MultiIndex, np.longdouble]]:

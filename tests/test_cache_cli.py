@@ -1104,11 +1104,10 @@ class TestVerifyCommand:
             "monomial: degree 84", "gegenbauer: degree 84"
         ]
 
-    @pytest.mark.parametrize("t", [73] + [pytest.param(t, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 16")) for t in (74, 82)])
+    @pytest.mark.parametrize("t", [73, 74, 76, 78, 80, 82, 84, 100])
     def test_circle_round_trip(self, runner, tmp_path, t):
-        # the written (t+1)-gon holds float64 points: from t = 74 the walked
-        # pairwise sum cancels to residuals above 1e-9 (1.6e-8 at 74, 1.3e-5 at 82)
+        # the written (t+1)-gon holds float64 points: from t = 74 the zonal sum read
+        # off the table cancelled to residuals above 1e-9 (1.6e-8 at 74, 1.3e-5 at 82)
         out = tmp_path / "f.csv"
         assert runner.invoke(main, ["build", "1", str(t), "--format", "csv", "-o", str(out)]).exit_code == 0
         assert runner.invoke(main, ["verify", str(out), "-t", str(t)]).exit_code == 0

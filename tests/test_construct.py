@@ -368,10 +368,9 @@ class TestBuild:
         assert report.passed and report.max_residual <= 1e-9
         assert design.count == report.total_points and design.degree == t
 
-    @pytest.mark.parametrize("t", [82, pytest.param(83, marks=pytest.mark.xfail(
-        strict=True, raises=BuildError, reason="ROADMAP item 16"))])
+    @pytest.mark.parametrize("t", [82, 83, 84, 100])
     def test_s1_certifies_at_high_degree(self, t):
-        # the exact (t+1)-gon: at t = 83 the cancelling zonal sum reads 2.6e-9 at the root
+        # the exact (t+1)-gon: the cancelling zonal sum read 2.6e-9 at t = 83; |avg z^k|^2 cannot cancel
         design, report = build(plan(1, t))
         assert report.passed and report.max_residual <= 1e-9
         assert design.count == t + 1 and design.degree == t

@@ -25,7 +25,7 @@ from designforge import (
 )
 from designforge import construct, jacobi, verify
 from designforge.verify import verify_gegenbauer, verify_monomials
-from oracles import gegenbauer_block_sum, mc_moment_oracle, moment_deviations_direct, same_bits
+from oracles import circle_sums_running, gegenbauer_block_sum, mc_moment_oracle, moment_deviations_direct, same_bits
 
 
 def random_rotation(dim, seed):
@@ -184,9 +184,9 @@ class TestOneTablePerNode:
         calls = []
         real = verify.verify_averages
 
-        def counting(table, dim, degree, tol):
+        def counting(table, dim, degree, tol, pairwise=None):
             calls.append(dim)
-            return real(table, dim, degree, tol)
+            return real(table, dim, degree, tol, pairwise)
 
         monkeypatch.setattr(verify, "verify_averages", counting)
         _, report = construct.build(construct.plan(n, t), cache_obj=quad_cache)
@@ -536,7 +536,9 @@ def loop_reports(design, t):
     i = int(np.argmax(residuals))
     out = [(residuals[i], pairs[i][0])]
     if design.ambient_dim >= 2:
-        sums = [float(abs(v)) for v in verify._zonal_coefficients(design.ambient_dim, t) @ loop_squares(design, t)]
+        squares = (circle_sums_running(design, t) if design.ambient_dim == 2
+                   else verify._zonal_coefficients(design.ambient_dim, t) @ loop_squares(design, t))
+        sums = [float(abs(v)) for v in squares]
         k = int(np.argmax(sums[1:])) + 1 if t > 0 else None
         out.append((sums[k] if k else 0.0, k))
     return out
@@ -566,6 +568,53 @@ class TestArrayReductions:
         got = [(reports[0].max_abs_residual, reports[0].worst_monomial)]
         got += [(r.max_abs_residual, r.worst_degree) for r in reports[1:]]
         assert got == loop_reports(design, t)
+
+
+def turned_polygon(t, angle):
+    """The (t+1)-gon with its point at angle 0 turned by `angle` radians."""
+    pts = base_s1(t).points.copy()
+    pts[0] = np.cos(np.longdouble(angle)), np.sin(np.longdouble(angle))
+    return Design(ambient_dim=2, degree=t, points=pts)
+
+
+class TestCircleSums:
+    """The pairwise criterion at ambient 2, |avg z^k|^2, formed from the points."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_direct_cosine_sums(self, seed):
+        # (1/N^2) sum_{i,l} cos(k(theta_i - theta_l)) over every pair, in long double
+        theta = np.random.default_rng(400 + seed).uniform(0, 2 * np.pi, 37).astype(np.longdouble)
+        design = Design(ambient_dim=2, degree=20, points=np.column_stack([np.cos(theta), np.sin(theta)]))
+        sums = verify.circle_sums(design.points, 20)
+        for k in (1, 5, 20):
+            direct = np.cos(k * (theta[:, None] - theta[None, :])).sum() / 37**2
+            assert abs(sums[k] - direct) <= 1e-17, (k, float(sums[k]), float(direct))
+
+    @pytest.mark.parametrize("t", [0, 1, 7, 40, 100])
+    def test_one_row_at_a_time_gives_the_same_bits(self, monkeypatch, t):
+        # past the cap the powers are formed one row at a time, with the multiplies of the cumprod
+        for design in (base_s1(t, phase=0.3), random_unit_design(50 + t, 2, t, seed=t)):
+            table = verify.circle_sums(design.points, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_SMALL_TABLE", -1)
+                assert same_bits(verify.circle_sums(design.points, t), table)
+            assert same_bits(table, np.array(circle_sums_running(design, t)))
+
+    def test_polygon_fails_one_degree_above(self):
+        # the 101-gon averages z^101 to z_0^101 = 1, which no cancellation hides
+        monomial, pairwise = verify_design(base_s1(100), 101, 1e-9)
+        assert monomial.passed and monomial.max_abs_residual < 1e-19
+        assert not pairwise.passed and pairwise.max_abs_residual == 1.0 and pairwise.worst_degree == 101
+
+    def test_turned_point_fails(self):
+        # turning the 41-gon's point at angle 0 by e leaves avg z^k = (e^(ike) - 1) / 41 for k <= 40:
+        # the pairwise residual is quadratic in e, about 9.5e-13, and the monomial one, avg y, is sin(e) / 41
+        angle = 1e-6
+        monomial, pairwise = verify_design(turned_polygon(40, angle), 40, 1e-9)
+        assert not monomial.passed and monomial.worst_monomial == MultiIndex((0, 1))
+        assert monomial.max_abs_residual == pytest.approx(np.sin(angle) / 41, rel=1e-6)
+        assert pairwise.worst_degree == 40
+        assert pairwise.max_abs_residual == pytest.approx(4 * np.sin(40 * angle / 2) ** 2 / 41**2, rel=1e-6)
 
 
 class TestWorstEntry:
